@@ -6,6 +6,7 @@ Luenberger observer (combined gain update + diffusion), both with
 guaranteed containment of the true state under bounded noise.
 """
 
+from .bench import bench_observer_updates, time_op
 from .intersection import (
     DiffusionWeights,
     Strip,
@@ -21,12 +22,10 @@ from .metrics import (
     SimRecord,
     StepSummary,
     RunSummary,
-    bench_observer_updates,
     build_records,
     hausdorff_2d,
     radius,
     summarize,
-    time_op,
 )
 from .network import (
     RoundTrace,
@@ -44,7 +43,6 @@ from .observers import (
     ObserverConfig,
     ObserverKind,
     iv_luenberger_update,
-    luenberger_gain,
     sm_diffusion_update,
     sm_measurement_update,
     sm_time_update,

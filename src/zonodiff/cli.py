@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import bench
 from . import metrics as met
 from .network import (
     Topology,
@@ -39,6 +40,7 @@ from .zonotope import contains_point
 __all__ = ["main", "RunConfig", "ConfigError", "ContainmentViolationError"]
 
 ENV_OUT_DIR = "ZONODIFF_OUTDIR"
+PAPER_NODES = 8  # ring size of the neighbor presets
 CONTAINMENT_TOL = 1e-7
 
 RECORD_COLUMNS = ["step", "node", "algorithm", "diffusion", "k_neighbors",
@@ -108,6 +110,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -121,7 +125,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _topology_for(cfg: RunConfig, n_nodes: int) -> Topology:
+def _topology_for(cfg: RunConfig) -> Topology:
     if cfg.topology_file is not None:
         try:
             with open(cfg.topology_file, "r", encoding="utf-8") as fh:
@@ -129,7 +133,7 @@ def _topology_for(cfg: RunConfig, n_nodes: int) -> Topology:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise ConfigError(
                 f"cannot load topology {cfg.topology_file}: {exc}") from exc
-    return ring_topology(n_nodes, cfg.neighbors)
+    return ring_topology(PAPER_NODES, cfg.neighbors)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -158,8 +162,9 @@ def execute_run(cfg: RunConfig, trajectory: Trajectory | None = None):
     :class:`ContainmentViolationError` if the true state escapes any
     estimate at tolerance 1e-7.
     """
-    model, _ = paper_scenario(cfg.process_noise, cfg.measurement_noise)
-    topology = _topology_for(cfg, model.n_nodes)
+    topology = _topology_for(cfg)
+    model, _ = paper_scenario(cfg.process_noise, cfg.measurement_noise,
+                              n_nodes=topology.n_nodes)
     if trajectory is None:
         trajectory = simulate(model, cfg.steps, cfg.seed)
     if trajectory.n_nodes != topology.n_nodes:
@@ -174,18 +179,21 @@ def execute_run(cfg: RunConfig, trajectory: Trajectory | None = None):
                 raise ContainmentViolationError(
                     f"true state escaped node {i}'s estimate at step {k}")
     records = met.build_records(result, trajectory, cfg.radius_metric)
-    summary_rows = _summary_rows(cfg, result, trajectory)
+    summary_rows = _summary_rows(cfg, records, result.estimates)
     return records, result.estimates, trajectory, summary_rows
 
 
-def _summary_rows(cfg: RunConfig, result, trajectory) -> list[list]:
-    _, run_sel = met.summarize(
-        met.build_records(result, trajectory, met.RADIUS_FROBENIUS),
-        result.estimates, burn_in=cfg.burn_in)
-    tail = [z for k, row in enumerate(result.estimates) if k >= cfg.burn_in
-            for z in row]
-    half = [met.radius(z, met.RADIUS_HALF_DIAGONAL) for z in tail]
-    frob = [met.radius(z, met.RADIUS_FROBENIUS) for z in tail]
+def _summary_rows(cfg: RunConfig, records, estimates) -> list[list]:
+    _, run_sel = met.summarize(records, estimates, burn_in=cfg.burn_in)
+    tail = [(rec, estimates[rec.step][rec.node_id]) for rec in records
+            if rec.step >= cfg.burn_in]
+    # The records carry the configured radius; only the other one is new.
+    if cfg.radius_metric == met.RADIUS_FROBENIUS:
+        frob = [rec.radius for rec, _ in tail]
+        half = [met.half_diagonal(rec.lower, rec.upper) for rec, _ in tail]
+    else:
+        frob = [met.radius(z, met.RADIUS_FROBENIUS) for _, z in tail]
+        half = [rec.radius for rec, _ in tail]
     k_label = "custom" if cfg.topology_file else cfg.neighbors
     diff_label = "on" if cfg.diffusion else "off"
 
@@ -288,11 +296,11 @@ def cmd_grid(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
     if repetitions < 100:
         raise ConfigError("bench needs at least 100 repetitions")
-    table = met.bench_observer_updates(repetitions, seed=cfg.seed, q=cfg.q)
+    table = bench.bench_observer_updates(repetitions, seed=cfg.seed, q=cfg.q)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "k2_us", "k4_us", "k6_us"])
-    for name in met.BENCH_OPS:
+    for name in bench.BENCH_OPS:
         writer.writerow([name] + [f"{table[name][k]:.3f}" for k in (2, 4, 6)])
     text = buf.getvalue()
     _atomic_write(os.path.join(cfg.out_dir, "bench.csv"), text)

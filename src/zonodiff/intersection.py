@@ -15,12 +15,11 @@ Frobenius norm (F-radius) of the resulting generator matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .zonotope import Zonotope
+from .zonotope import Zonotope, stack_zonotopes
 
 __all__ = [
     "Strip",
@@ -122,11 +121,37 @@ class DiffusionWeights:
         object.__setattr__(self, "w", w)
 
 
-def _stack_strips(strips) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gamma = np.vstack([s.h for s in strips])
+def stack_strips(strips, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Gamma, y, r)`` of a nonempty strip family in dimension ``dim``."""
+    strips = list(strips)
+    if not strips:
+        raise ValueError("at least one strip is required")
+    gamma = np.array([s.h for s in strips])
+    if gamma.shape[1] != dim:
+        raise ValueError("strip dimension does not match the zonotope")
     y = np.array([s.y for s in strips])
     r = np.array([s.r for s in strips])
     return gamma, y, r
+
+
+def correct(center, gens, gamma, y, r, lam, front=None):
+    """Gain-corrected set: the affine step shared by both observers.
+
+    Maps ``<c, G>`` with strips ``(Gamma, y, r)`` and gain ``Lam`` to center
+    ``front c + Lam (y - Gamma c)`` and generators
+    ``[(front - Lam Gamma) G, lam_1 r_1, ..., lam_m r_m]``. Shapes:
+    ``center (n,)``, ``gens (n, e)``, ``gamma (m, n)``, ``y, r (m,)``,
+    ``lam (n, m)``; ``front`` is an ``n x n`` matrix, the identity when
+    None (the pure measurement update). Returns ``(center, gens)``.
+    """
+    innovation = y - gamma @ center
+    if front is None:
+        out_center = center + lam @ innovation
+        shrink = np.eye(len(center)) - lam @ gamma
+    else:
+        out_center = front @ center + lam @ innovation
+        shrink = front - lam @ gamma
+    return out_center, np.hstack([shrink @ gens, lam * r])
 
 
 def intersect_strips(z: Zonotope, strips, gain: StripIntersectionGain) -> Zonotope:
@@ -137,21 +162,14 @@ def intersect_strips(z: Zonotope, strips, gain: StripIntersectionGain) -> Zonoto
     ``G' = [(I - sum_j lam_j h_j) G, lam_1 r_1, ..., lam_m r_m]``,
     which contains the true intersection for every gain choice.
     """
-    strips = list(strips)
-    if not strips:
-        raise ValueError("at least one strip is required")
-    gamma, y, r = _stack_strips(strips)
-    if gamma.shape[1] != z.dim:
-        raise ValueError("strip dimension does not match the zonotope")
+    gamma, y, r = stack_strips(strips, z.dim)
     lam = gain.lambdas
-    if lam.shape != (z.dim, len(strips)):
+    if lam.shape != (z.dim, len(y)):
         raise ValueError(
-            f"gain shape {lam.shape} does not match (n, m) = ({z.dim}, {len(strips)})"
+            f"gain shape {lam.shape} does not match (n, m) = ({z.dim}, {len(y)})"
         )
-    shrink = np.eye(z.dim) - lam @ gamma
-    center = z.center + lam @ (y - gamma @ z.center)
-    gens = np.hstack([shrink @ z.generators, lam * r[None, :]])
-    return Zonotope(center, gens)
+    center, gens = correct(z.center, z.generators, gamma, y, r, lam)
+    return stack_zonotopes(center[None], gens[None])[0]
 
 
 def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
@@ -160,27 +178,29 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
     matrix ``[(front - Lam Gamma) G, lam_1 r_1, ..., lam_m r_m]``.
 
     Setting the gradient of the trace form to zero gives the normal
-    equations ``Lam (Gamma G G' Gamma' + diag(r^2)) = front G G' Gamma'``,
-    solved symmetrically; an ill-conditioned normal matrix triggers a
-    pseudo-inverse fallback, reported in the second return value.
+    equations ``Lam (Gamma G G' Gamma' + diag(r^2)) = front G G' Gamma'``.
+    A normal matrix whose condition number is not below ``1e12``
+    (redundant strips, point priors) takes a pseudo-inverse instead of the
+    solve; the second return value flags it.
 
     ``front`` defaults to the identity (the pure measurement update); the
     Luenberger update passes the state matrix.
     """
     gens = np.asarray(prior_generators, dtype=float)
-    n = gens.shape[0]
-    front = np.eye(n) if front is None else np.asarray(front, dtype=float)
-    gg = gens @ gens.T
-    normal = gamma @ gg @ gamma.T + np.diag(np.asarray(r, dtype=float) ** 2)
-    rhs = gamma @ gg @ front.T  # transpose of the numerator
-    cond = np.linalg.cond(normal)
-    if np.isfinite(cond) and cond < _COND_LIMIT:
-        try:
-            lam = scipy.linalg.solve(normal, rhs, assume_a="pos").T
-            return lam, False
-        except np.linalg.LinAlgError:
-            pass
-    return (front @ gg @ gamma.T) @ np.linalg.pinv(normal), True
+    gamma = np.asarray(gamma, dtype=float)
+    gamma_gg = gamma @ (gens @ gens.T)
+    normal = gamma_gg @ gamma.T + np.diag(np.asarray(r, dtype=float) ** 2)
+    rhs = gamma_gg  # transpose of the numerator
+    if front is not None:
+        rhs = gamma_gg @ np.asarray(front, dtype=float).T
+    # The normal matrix is symmetric positive semidefinite, so its singular
+    # values are its eigenvalues, ascending. cond = ev[-1] / ev[0] <
+    # _COND_LIMIT is tested without the division; a singular matrix (ev[0]
+    # zero or rounded below it) fails it.
+    ev = np.linalg.eigvalsh(normal)
+    if ev[0] * _COND_LIMIT > ev[-1]:
+        return np.linalg.solve(normal, rhs).T, False
+    return rhs.T @ np.linalg.pinv(normal), True
 
 
 def optimal_strip_gain(z: Zonotope, strips) -> StripIntersectionGain:
@@ -189,14 +209,40 @@ def optimal_strip_gain(z: Zonotope, strips) -> StripIntersectionGain:
     For a point prior (no generators) the gain is zero: the measurement
     cannot shrink a point.
     """
-    strips = list(strips)
-    if not strips:
-        raise ValueError("at least one strip is required")
-    gamma, _, r = _stack_strips(strips)
-    if gamma.shape[1] != z.dim:
-        raise ValueError("strip dimension does not match the zonotope")
+    gamma, _, r = stack_strips(strips, z.dim)
     lam, fallback = frobenius_optimal_gain(z.generators, gamma, r)
     return StripIntersectionGain(lam, fallback)
+
+
+def squared_f_radius(gens: np.ndarray) -> np.ndarray:
+    """``||G||_F^2`` of each ``n x e`` matrix in the last two axes."""
+    return (gens ** 2).sum(axis=(-2, -1))
+
+
+def diffusion_weights(beta: np.ndarray) -> np.ndarray:
+    """Optimal weights along the last axis of ``beta = ||G_j||_F^2``.
+
+    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``; where some ``beta_j`` are 0
+    (point sets) all weight is split uniformly over those.
+    """
+    points = beta == 0.0
+    n_points = points.sum(axis=-1, keepdims=True)
+    inv = 1.0 / np.where(points, 1.0, beta)
+    regular = inv / inv.sum(axis=-1, keepdims=True)
+    return np.where(n_points > 0, points / np.maximum(n_points, 1), regular)
+
+
+def combine(w, centers, gens, col_weights):
+    """Weighted combination of gathered zonotopes, row by row.
+
+    ``w (B, m)`` weights the centers ``(B, m, n)``; ``gens (B, n, W)`` holds
+    the members' generators side by side and ``col_weights (B, W)`` the
+    weight of the member each column belongs to. Returns
+    ``(sum_j w_j c_j / sum_j w_j, [w_1 G_1, ..., w_m G_m] / sum_j w_j)``.
+    """
+    total = w.sum(axis=1)
+    center = (w[:, :, None] * centers).sum(axis=1) / total[:, None]
+    return center, gens * col_weights[:, None, :] / total[:, None, None]
 
 
 def intersect_zonotopes(zs, weights: DiffusionWeights) -> Zonotope:
@@ -216,10 +262,11 @@ def intersect_zonotopes(zs, weights: DiffusionWeights) -> Zonotope:
     dim = zs[0].dim
     if any(z.dim != dim for z in zs):
         raise ValueError("all zonotopes must share one dimension")
-    total = w.sum()
-    center = sum(wj * z.center for wj, z in zip(w, zs)) / total
-    gens = np.hstack([wj * z.generators for wj, z in zip(w, zs)]) / total
-    return Zonotope(center, gens)
+    widths = [z.n_generators for z in zs]
+    center, gens = combine(w[None], np.stack([z.center for z in zs])[None],
+                           np.hstack([z.generators for z in zs])[None],
+                           np.repeat(w, widths)[None])
+    return stack_zonotopes(center, gens)[0]
 
 
 def optimal_diffusion_weights(zs) -> DiffusionWeights:
@@ -233,12 +280,5 @@ def optimal_diffusion_weights(zs) -> DiffusionWeights:
     zs = list(zs)
     if not zs:
         raise ValueError("at least one zonotope is required")
-    beta = np.array([float(np.sum(z.generators ** 2)) for z in zs])
-    w = np.zeros(len(zs))
-    degenerate = beta == 0.0
-    if degenerate.any():
-        w[degenerate] = 1.0 / degenerate.sum()
-    else:
-        inv = 1.0 / beta
-        w = inv / inv.sum()
-    return DiffusionWeights(w)
+    beta = np.array([squared_f_radius(z.generators) for z in zs])
+    return DiffusionWeights(diffusion_weights(beta))

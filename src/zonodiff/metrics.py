@@ -1,38 +1,26 @@
 """Evaluation metrics: set radius, pairwise Hausdorff distance, center
-localization error, plus the micro-benchmark harness for the observer
-sub-steps."""
+localization error."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .intersection import Strip
-from .observers import (
-    NodeState,
-    iv_luenberger_update,
-    sm_diffusion_update,
-    sm_measurement_update,
-    sm_time_update,
-)
 from .zonotope import Zonotope, f_radius, interval_hull, vertices_2d
 
 __all__ = [
     "RADIUS_FROBENIUS",
     "RADIUS_HALF_DIAGONAL",
     "radius",
+    "half_diagonal",
     "hausdorff_2d",
     "SimRecord",
     "StepSummary",
     "RunSummary",
     "build_records",
     "summarize",
-    "time_op",
-    "bench_observer_updates",
-    "BENCH_OPS",
 ]
 
 RADIUS_FROBENIUS = "frobenius"
@@ -49,9 +37,13 @@ def radius(z: Zonotope, kind: str = RADIUS_FROBENIUS) -> float:
     if kind == RADIUS_FROBENIUS:
         return f_radius(z)
     if kind == RADIUS_HALF_DIAGONAL:
-        lower, upper = interval_hull(z)
-        return 0.5 * float(np.linalg.norm(upper - lower))
+        return half_diagonal(*interval_hull(z))
     raise ValueError(f"unknown radius kind {kind!r}")
+
+
+def half_diagonal(lower, upper) -> float:
+    """Half the Euclidean diagonal of the box ``[lower, upper]``."""
+    return 0.5 * float(np.linalg.norm(upper - lower))
 
 
 def hausdorff_2d(a: Zonotope, b: Zonotope) -> float:
@@ -197,94 +189,3 @@ def summarize(records, estimates=None, burn_in: int = 5):
         h_mean = h_std = None
     run = RunSummary(burn_in, r_mean, r_std, c_mean, c_std, h_mean, h_std)
     return step_summaries, run
-
-
-def time_op(op, inputs, repetitions: int) -> float:
-    """Mean wall-clock microseconds of ``op(*args)`` over ``repetitions``
-    calls, cycling through the pre-built ``inputs`` argument tuples."""
-    repetitions = int(repetitions)
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    inputs = list(inputs)
-    n = len(inputs)
-    start = time.perf_counter()
-    for i in range(repetitions):
-        op(*inputs[i % n])
-    return (time.perf_counter() - start) / repetitions * 1e6
-
-
-BENCH_OPS = ("measurement", "diffusion", "time", "luenberger")
-
-
-def _bench_inputs(op: str, m: int, rng: np.random.Generator, q: int,
-                  n_gens: int, pool: int):
-    f_matrix = np.array([[0.992, -0.1247], [0.1247, 0.992]])
-    q_gens = 0.02 * np.eye(2)
-    rows = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-    def rand_zono():
-        return Zonotope(rng.uniform(-10, 10, 2),
-                        rng.uniform(-1.0, 1.0, (2, n_gens)))
-
-    def rand_strips():
-        return [Strip(rows[j % 2], rng.uniform(-10, 10), 0.2)
-                for j in range(m)]
-
-    out = []
-    for _ in range(pool):
-        if op == "measurement":
-            out.append((NodeState(0, rand_zono()), rand_strips()))
-        elif op == "diffusion":
-            out.append(([rand_zono() for _ in range(m)], q))
-        elif op == "time":
-            out.append((rand_zono(), f_matrix, q_gens))
-        elif op == "luenberger":
-            out.append((NodeState(0, rand_zono()), rand_strips(), f_matrix,
-                        q_gens, q))
-        else:
-            raise ValueError(f"unknown bench op {op!r}")
-    return out
-
-
-def bench_observer_updates(repetitions: int, k_values=(2, 4, 6), seed=0,
-                           q: int = 20, n_generators: int = 20,
-                           pool: int = 32) -> dict:
-    """Table-shaped timing of the four observer sub-steps.
-
-    Returns ``{op: {k: mean_us}}`` for ``op`` in :data:`BENCH_OPS`, timed on
-    randomly generated zonotopes with ``n_generators`` generators and
-    ``k + 1``-member neighborhoods.
-    """
-    ops = {
-        "measurement": lambda s, strips: sm_measurement_update(s, strips),
-        "diffusion": lambda sets, qq: sm_diffusion_update(sets, qq),
-        "time": lambda z, f, qg: sm_time_update(z, f, qg),
-        "luenberger": lambda s, strips, f, qg, qq:
-            iv_luenberger_update(s, strips, f, qg, qq),
-    }
-    table: dict = {name: {} for name in BENCH_OPS}
-    k_values = tuple(k_values)
-    passes = 10 if repetitions >= 1000 else 1
-    chunk = max(1, repetitions // passes)
-    for op_index, name in enumerate(BENCH_OPS):
-        per_k_inputs = {}
-        for k in k_values:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, op_index, k)))
-            per_k_inputs[k] = _bench_inputs(name, k + 1, rng, q, n_generators,
-                                            pool)
-            # Warm caches and CPU clocks before the measured runs.
-            time_op(ops[name], per_k_inputs[k], min(200, repetitions))
-        # Interleave the neighbor counts in round-robin passes so slow
-        # clock drift biases every cell equally.
-        totals = {k: 0.0 for k in k_values}
-        counts = {k: 0 for k in k_values}
-        while min(counts.values()) < repetitions:
-            for k in k_values:
-                n = min(chunk, repetitions - counts[k])
-                if n > 0:
-                    totals[k] += time_op(ops[name], per_k_inputs[k], n) * n
-                    counts[k] += n
-        for k in k_values:
-            table[name][k] = totals[k] / counts[k]
-    return table

@@ -5,25 +5,30 @@ phase 1 delivers each node the measurement strips of its neighborhood and
 every node computes its corrected set; phase 2 delivers the corrected sets
 and every node fuses them (diffusion) and, for the set-membership
 observer, propagates in time. Node computations within a phase are
-independent, so iteration order cannot affect results.
+independent, so iteration order cannot affect results. Phase 1 runs node
+by node through :func:`~zonodiff.observers.local_update`; phase 2 runs for
+all nodes at once on stacked arrays.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .intersection import squared_f_radius
 from .observers import (
     NodeState,
     ObserverConfig,
     ObserverKind,
-    fuse_update,
+    diffusion_stack,
     local_update,
+    noise_matrix,
+    time_update_stack,
 )
-from .zonotope import Zonotope
+from .zonotope import reduce_stack, stack_zonotopes
 
 __all__ = [
     "Topology",
@@ -69,6 +74,21 @@ class Topology:
 
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
+
+    @cached_property
+    def _batches(self) -> list:
+        """Nodes grouped by neighborhood size, as ``(nodes, neighbors)``
+        index arrays of shapes ``(B,)`` and ``(B, m)``; neighbor rows keep
+        the order of the neighbor lists."""
+        sizes = np.array([len(row) for row in self.neighbors])
+        out = []
+        for m in np.unique(sizes):
+            nodes = np.flatnonzero(sizes == m)
+            nbrs = np.array([self.neighbors[i] for i in nodes]).reshape(-1, m)
+            nodes.flags.writeable = False
+            nbrs.flags.writeable = False
+            out.append((nodes, nbrs))
+        return out
 
 
 def ring_topology(n: int, k_neighbors: int) -> Topology:
@@ -127,41 +147,124 @@ def run_round(topology: Topology, node_states, measurements,
     """Execute one synchronous round and return the new node states.
 
     ``measurements`` holds one :class:`~zonodiff.intersection.Strip` per
-    node. The result is deterministic in the inputs and independent of node
-    iteration order; per-node wall time is recorded in the trace estimates
-    only implicitly (callers time around this function if needed).
+    node. Phase 1 calls :func:`~zonodiff.observers.local_update` per node.
+    Phase 2 runs for all nodes at once on stacked arrays, one batch per
+    neighborhood size (split further only while neighborhoods carry
+    different generator counts), with the same kernels as the per-node
+    functions of :mod:`zonodiff.observers`. A node's result depends only on
+    its own neighborhood, so it is independent of the batching and of node
+    order. Callers time around this function if needed.
     """
     states = list(node_states)
-    if len(states) != topology.n_nodes:
+    n_nodes = topology.n_nodes
+    if len(states) != n_nodes:
         raise ValueError("one NodeState per topology node is required")
     measurements = list(measurements)
-    if len(measurements) != topology.n_nodes:
+    if len(measurements) != n_nodes:
         raise ValueError("one measurement strip per node is required")
+    dim = states[0].estimate.dim
+    f_mat = np.asarray(f_matrix, dtype=float)
+    noise = noise_matrix(q_generators, dim)
+    sm = cfg.kind is ObserverKind.SET_MEMBERSHIP
 
-    strips_in = tuple(
-        tuple((j, measurements[j]) for j in topology.neighbors[i])
-        for i in range(topology.n_nodes)
-    )
     # Phase 1: every node computes its corrected set from the delivered strips.
-    corrected = [
-        local_update(states[i], [s for _, s in strips_in[i]], cfg, f_matrix,
-                     q_generators)
-        for i in range(topology.n_nodes)
-    ]
+    corrected = [local_update(state, [measurements[j] for j in row], cfg,
+                              f_mat, noise)
+                 for state, row in zip(states, topology.neighbors)]
+    own = _group(corrected)
+
     # Phase 2 barrier: only now are corrected sets exchanged.
-    sets_in = tuple(
-        tuple((j, corrected[j]) for j in topology.neighbors[i])
-        for i in range(topology.n_nodes)
-    )
-    new_states = []
-    estimates = []
-    for i in range(topology.n_nodes):
-        nxt, fused = fuse_update(states[i], corrected[i], sets_in[i], cfg,
-                                 f_matrix, q_generators)
-        new_states.append(nxt)
-        estimates.append(fused)
+    if cfg.diffusion_enabled:
+        fused = _diffuse(topology, own, corrected, cfg.q)
+    elif sm:
+        fused = [(nodes[rows], c[rows], g_red) for nodes, c, g in own
+                 for rows, g_red in reduce_stack(g, cfg.q)]
+    else:
+        fused = own  # already reduced by the Luenberger step
+    estimates = corrected if fused is own else _materialize(fused, n_nodes)
+    if sm:
+        carried = _materialize(
+            [(nodes, *time_update_stack(c, g, f_mat, noise))
+             for nodes, c, g in fused], n_nodes)
+    else:
+        carried = estimates
+    new_states = [NodeState(i, z) for i, z in enumerate(carried)]
+    strips_in = tuple(tuple((j, measurements[j]) for j in row)
+                      for row in topology.neighbors)
+    sets_in = tuple(tuple((j, corrected[j]) for j in row)
+                    for row in topology.neighbors)
     trace = RoundTrace(step_index, strips_in, sets_in, tuple(estimates))
     return new_states, trace
+
+
+def _split(batches, key) -> list:
+    """``batches`` split further so that ``key(nodes, nbrs)``, one value per
+    node, is constant within each batch."""
+    out = []
+    for nodes, nbrs in batches:
+        k = key(nodes, nbrs)
+        if (k == k[0]).all():
+            out.append((nodes, nbrs))
+        else:
+            out += [(nodes[k == v], nbrs[k == v]) for v in np.unique(k)]
+    return out
+
+
+def _group(zs) -> list:
+    """``(nodes, centers, gens)`` groups of per-node zonotopes, one per
+    generator count."""
+    widths = np.array([z.n_generators for z in zs])
+    out = []
+    for w in np.unique(widths):
+        nodes = np.flatnonzero(widths == w)
+        out.append((nodes, np.stack([zs[i].center for i in nodes]),
+                    np.stack([zs[i].generators for i in nodes])))
+    return out
+
+
+def _materialize(groups, n_nodes: int) -> list:
+    """Per-node zonotopes, in node order, from ``(nodes, centers, gens)``
+    groups that cover every node once."""
+    out = [None] * n_nodes
+    for nodes, c, g in groups:
+        for i, z in zip(nodes.tolist(), stack_zonotopes(c, g)):
+            out[i] = z
+    return out
+
+
+def _diffuse(topology: Topology, own, corrected, q: int) -> list:
+    """Diffusion of every neighborhood's corrected sets: the members are
+    gathered through the neighbor index arrays from one side-by-side store
+    of all corrected generators."""
+    n_nodes = topology.n_nodes
+    centers = np.empty((n_nodes, own[0][1].shape[1]))
+    beta = np.empty(n_nodes)
+    widths = np.empty(n_nodes, dtype=int)
+    for nodes, c, g in own:
+        centers[nodes] = c
+        beta[nodes] = squared_f_radius(g)
+        widths[nodes] = g.shape[2]
+    store = np.concatenate([z.generators for z in corrected], axis=1)
+    starts = np.cumsum(widths) - widths
+    fused = []
+    for nodes, nbrs in _split(topology._batches,
+                              lambda _, nbrs: widths[nbrs].sum(axis=1)):
+        member_widths = widths[nbrs]
+        cols = _member_columns(starts[nbrs], member_widths)
+        gens = np.ascontiguousarray(store[:, cols].transpose(1, 0, 2))
+        groups = diffusion_stack(beta[nbrs], centers[nbrs], member_widths,
+                                 gens, q)
+        fused += [(nodes[rows], c, g) for rows, c, g in groups]
+    return fused
+
+
+def _member_columns(starts, widths) -> np.ndarray:
+    """Store columns of each row's members, side by side in member order:
+    row ``b`` lists ``starts[b, j] .. starts[b, j] + widths[b, j] - 1`` for
+    each member ``j``."""
+    flat = widths.ravel()
+    shift = np.repeat(starts.ravel() - (np.cumsum(flat) - flat), flat)
+    return (shift + np.arange(flat.sum())).reshape(len(widths), -1)
 
 
 @dataclass

@@ -11,7 +11,11 @@ Both observers carry one zonotope per node between rounds. Within a round:
   same diffusion combination without a separate time update.
 
 The functions here are pure; the network module enforces the round
-barriers and delivers neighborhood inputs.
+barriers and delivers neighborhood inputs. The network round runs the
+local update node by node and the fusion and time update as stack kernels
+that update many nodes at once; the per-node fusion and time update run
+the same kernels on stacks of one, so a node gets the same result alone as
+in a network round.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ from enum import Enum
 import numpy as np
 
 from .intersection import (
-    Strip,
+    combine,
+    correct,
+    diffusion_weights,
     frobenius_optimal_gain,
-    intersect_strips,
-    intersect_zonotopes,
-    optimal_diffusion_weights,
-    optimal_strip_gain,
+    squared_f_radius,
+    stack_strips,
 )
-from .zonotope import Zonotope, linear_map, minkowski_sum, reduce
+from .zonotope import Zonotope, reduce, reduce_stack, stack_zonotopes
 
 __all__ = [
     "ObserverKind",
@@ -39,7 +43,6 @@ __all__ = [
     "sm_measurement_update",
     "sm_diffusion_update",
     "sm_time_update",
-    "luenberger_gain",
     "iv_luenberger_update",
     "local_update",
     "fuse_update",
@@ -97,13 +100,70 @@ class NeighborhoodInput:
         object.__setattr__(self, "shared_sets", tuple(self.shared_sets))
 
 
+# Stack kernels of phase 2. Each runs one step for a stack of B nodes at
+# once and returns the new sets as a list of (rows, centers, generators)
+# groups, one per output generator count, rows indexing the input stack.
+# The per-node fusion and time update below run the same kernels on stacks
+# of one.
+
+def diffusion_stack(beta, centers, widths, gens, q) -> list:
+    """Diffusion of gathered neighborhoods: optimal weights, weighted
+    combination, reduction to ``q``.
+
+    Per member ``j`` of row ``b``: ``beta[b, j]`` its squared F-radius,
+    ``centers[b, j]`` its center and ``widths[b, j]`` its generator count;
+    ``gens[b]`` holds the members' generators side by side in member order.
+    """
+    w = diffusion_weights(beta)
+    col_weights = np.repeat(w.ravel(), widths.ravel()).reshape(len(w), -1)
+    center, out = combine(w, centers, gens, col_weights)
+    return [(rows, center[rows], g) for rows, g in reduce_stack(out, q)]
+
+
+def time_update_stack(centers, gens, f_matrix, noise):
+    """``<F c, [F G, Q]>`` row by row; returns ``(centers, gens)``."""
+    return ((f_matrix @ centers[:, :, None])[:, :, 0],
+            np.concatenate([f_matrix @ gens, _stacked(noise, len(gens))],
+                           axis=2))
+
+
+def _stacked(noise: np.ndarray, batch: int) -> np.ndarray:
+    return np.repeat(noise[None], batch, axis=0)
+
+
+def noise_matrix(q_generators, dim: int) -> np.ndarray:
+    """Process-noise generators as an ``n x e`` matrix (``e = 0`` allowed)."""
+    noise = np.asarray(q_generators, dtype=float)
+    if noise.size == 0:
+        noise = noise.reshape(dim, 0)
+    if noise.ndim != 2 or noise.shape[0] != dim:
+        raise ValueError("process-noise generators do not match the state")
+    return noise
+
+
+def check_budget(q: int, dim: int) -> None:
+    if q < dim:
+        raise ValueError("q must be at least the state dimension")
+
+
+def _corrected(z: Zonotope, strips, front=None):
+    """Center and generators of ``z`` corrected by ``strips`` at the
+    F-radius-optimal gain, with front matrix ``front`` (identity if None)."""
+    gamma, y, r = stack_strips(strips, z.dim)
+    lam, _ = frobenius_optimal_gain(z.generators, gamma, r, front)
+    return correct(z.center, z.generators, gamma, y, r, lam, front)
+
+
+def _zonotope(center, gens) -> Zonotope:
+    return stack_zonotopes(center[None], gens[None])[0]
+
+
 def sm_measurement_update(state: NodeState, strips) -> Zonotope:
     """Corrected set: prior intersected with all strips at the optimal gain."""
     strips = list(strips)
     if not strips:
         raise ValueError("measurement update requires at least one strip")
-    gain = optimal_strip_gain(state.estimate, strips)
-    return intersect_strips(state.estimate, strips, gain)
+    return _zonotope(*_corrected(state.estimate, strips))
 
 
 def sm_diffusion_update(shared, q: int) -> Zonotope:
@@ -111,68 +171,51 @@ def sm_diffusion_update(shared, q: int) -> Zonotope:
     shared = list(shared)
     if not shared:
         raise ValueError("diffusion update requires at least one shared set")
-    combined = intersect_zonotopes(shared, optimal_diffusion_weights(shared))
-    return reduce(combined, q)
+    dim = shared[0].dim
+    if any(z.dim != dim for z in shared):
+        raise ValueError("all zonotopes must share one dimension")
+    check_budget(q, dim)
+    gens = [z.generators for z in shared]
+    [(_, center, out)] = diffusion_stack(
+        np.array([squared_f_radius(g) for g in gens])[None],
+        np.stack([z.center for z in shared])[None],
+        np.array([g.shape[1] for g in gens])[None],
+        np.hstack(gens)[None], q)
+    return stack_zonotopes(center, out)[0]
 
 
 def sm_time_update(z: Zonotope, f_matrix, q_generators) -> Zonotope:
     """Propagate through the dynamics and add the process-noise zonotope."""
-    noise = np.asarray(q_generators, dtype=float)
-    if noise.size == 0:
-        noise = noise.reshape(z.dim, 0)
-    return minkowski_sum(linear_map(f_matrix, z),
-                         Zonotope(np.zeros(noise.shape[0]), noise))
-
-
-def luenberger_gain(prior: Zonotope, strips, f_matrix) -> tuple[np.ndarray, bool]:
-    """Closed-form gain for the combined Luenberger update.
-
-    Minimizes the F-radius of
-    ``[(F - Lam Gamma) G, -lam_1 r_1, ..., -lam_m r_m, Q]`` over ``Lam``
-    (the trailing noise block does not depend on the gain). Returns the
-    ``n x m`` gain matrix and a flag marking a pseudo-inverse fallback.
-    """
-    gamma = np.vstack([s.h for s in strips])
-    r = np.array([s.r for s in strips])
-    return frobenius_optimal_gain(prior.generators, gamma, r,
-                                  front=np.asarray(f_matrix, dtype=float))
+    f_mat = np.atleast_2d(np.asarray(f_matrix, dtype=float))
+    if f_mat.shape[1] != z.dim:
+        raise ValueError(f"map has {f_mat.shape[1]} columns but zonotope has "
+                         f"dimension {z.dim}")
+    center, gens = time_update_stack(z.center[None], z.generators[None], f_mat,
+                                     noise_matrix(q_generators, f_mat.shape[0]))
+    return stack_zonotopes(center, gens)[0]
 
 
 def iv_luenberger_update(state: NodeState, strips, f_matrix, q_generators,
                          q: int) -> Zonotope:
     """One combined correct-and-propagate step of the interval-based observer.
 
-    Output center ``(F - Lam Gamma) c + Lam y`` and generators
-    ``[(F - Lam Gamma) G, -lam_1 r_1, ..., -lam_m r_m, Q]``, reduced to
-    ``q`` generators. Contains ``F x + n`` for every prior member ``x``
-    consistent with the strips and every process noise ``n`` bounded by the
-    ``Q`` generators.
+    Output center ``F c + Lam (y - Gamma c)`` and generators
+    ``[(F - Lam Gamma) G, lam_1 r_1, ..., lam_m r_m, Q]``, reduced to
+    ``q`` generators, with the gain minimizing the F-radius of that matrix
+    (the noise block does not depend on it). Contains ``F x + n`` for every
+    prior member ``x`` consistent with the strips and every process noise
+    ``n`` bounded by the ``Q`` generators.
     """
-    strips = list(strips)
-    if not strips:
-        raise ValueError("Luenberger update requires at least one strip")
-    f_mat = np.asarray(f_matrix, dtype=float)
-    noise = np.asarray(q_generators, dtype=float)
-    if noise.size == 0:
-        noise = noise.reshape(state.estimate.dim, 0)
-    gamma = np.vstack([s.h for s in strips])
-    if gamma.shape[1] != state.estimate.dim:
-        raise ValueError("strip dimension does not match the state")
-    y = np.array([s.y for s in strips])
-    r = np.array([s.r for s in strips])
-    lam, _ = luenberger_gain(state.estimate, strips, f_mat)
-    shrink = f_mat - lam @ gamma
-    center = shrink @ state.estimate.center + lam @ y
-    gens = np.hstack([shrink @ state.estimate.generators,
-                      -lam * r[None, :], noise])
-    return reduce(Zonotope(center, gens), q)
+    z = state.estimate
+    center, gens = _corrected(z, strips, np.asarray(f_matrix, dtype=float))
+    gens = np.hstack([gens, noise_matrix(q_generators, z.dim)])
+    return reduce(_zonotope(center, gens), q)
 
 
 def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
                  q_generators) -> Zonotope:
     """Phase-1 computation: the set this node shares with its neighbors."""
-    if cfg.q < state.estimate.dim:
-        raise ValueError("q must be at least the state dimension")
+    check_budget(cfg.q, state.estimate.dim)
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
         return sm_measurement_update(state, strips)
     return iv_luenberger_update(state, strips, f_matrix, q_generators, cfg.q)

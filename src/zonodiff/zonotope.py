@@ -25,10 +25,14 @@ __all__ = [
 ]
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must contain only finite values")
+
+
 def _finite_array(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+    _check_finite(arr, name)
     return arr
 
 
@@ -62,6 +66,15 @@ class Zonotope:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "generators", g)
 
+    @classmethod
+    def _trusted(cls, center: np.ndarray, generators: np.ndarray) -> "Zonotope":
+        # Skips the checks: the caller passes a finite, read-only length-n
+        # center and n x e generator matrix.
+        z = object.__new__(cls)
+        object.__setattr__(z, "center", center)
+        object.__setattr__(z, "generators", generators)
+        return z
+
     @property
     def dim(self) -> int:
         return self.center.shape[0]
@@ -90,6 +103,20 @@ class Zonotope:
     def from_json_dict(cls, data: dict) -> "Zonotope":
         return cls(np.asarray(data["center"], dtype=float),
                    np.asarray(data["generators"], dtype=float))
+
+
+def stack_zonotopes(centers: np.ndarray, gens: np.ndarray) -> list[Zonotope]:
+    """One :class:`Zonotope` per row of a stack: centers ``(B, n)`` and
+    generators ``(B, n, e)``.
+
+    One finiteness check covers the whole stack, and the zonotopes hold
+    read-only views of it.
+    """
+    _check_finite(centers, "center")
+    _check_finite(gens, "generators")
+    centers.flags.writeable = False
+    gens.flags.writeable = False
+    return [Zonotope._trusted(c, g) for c, g in zip(centers, gens)]
 
 
 def minkowski_sum(a: Zonotope, b: Zonotope) -> Zonotope:
@@ -125,24 +152,55 @@ def reduce(z: Zonotope, q: int) -> Zonotope:
     returned unchanged; zero generator columns are dropped only when a
     reduction actually happens.
     """
-    n = z.dim
     q = int(q)
-    if q < n:
-        raise ValueError(f"q = {q} must be at least the dimension n = {n}")
+    if q < z.dim:
+        raise ValueError(f"q = {q} must be at least the dimension n = {z.dim}")
     if z.n_generators <= q:
         return z
-    gens = z.generators
-    gens = gens[:, np.any(gens != 0.0, axis=0)]
-    e = gens.shape[1]
+    [(_, gens)] = reduce_stack(z.generators[None], q)
+    return stack_zonotopes(z.center[None], gens)[0]
+
+
+def reduce_stack(gens: np.ndarray, q: int) -> list:
+    """:func:`reduce` applied to every row of a stack of generator matrices.
+
+    ``gens`` has shape ``(B, n, e)`` with ``q >= n``. The reduced rows can
+    differ in generator count, so the result is a list of ``(rows,
+    reduced)`` pairs, one per count: ``rows`` indexes the input stack and
+    ``reduced`` has shape ``(len(rows), n, count)``. A stack with
+    ``e <= q`` comes back unchanged as one pair.
+    """
+    batch, n, e = gens.shape
     if e <= q:
-        return Zonotope(z.center, gens)
-    score = np.abs(gens).sum(axis=0) - np.abs(gens).max(axis=0)
-    order = np.argsort(-score, kind="stable")
-    kept = gens[:, order[: q - n]]
-    boxed = gens[:, order[q - n:]]
-    box = np.diag(np.abs(boxed).sum(axis=1))
-    box = box[:, np.any(box != 0.0, axis=0)]
-    return Zonotope(z.center, np.hstack([kept, box]))
+        return [(np.arange(batch), gens)]
+    absg = np.abs(gens)
+    col_max = absg.max(axis=1)
+    nonzero = col_max != 0.0
+    count = nonzero.sum(axis=1)
+    boxing = count > q
+    # Rows that box rank their generators by descending score
+    # ||g||_1 - ||g||_inf; the others only move their zero columns last.
+    # Zero columns sort last in both, and the stable sort keeps ties in
+    # column order.
+    key = np.where(nonzero, (col_max - absg.sum(axis=1)) * boxing[:, None],
+                   np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    ranked = gens[np.arange(batch)[:, None, None], np.arange(n)[:, None],
+                  order[:, None, :]]
+    box = np.abs(ranked[:, :, q - n:]).sum(axis=2)
+    # Box generators e_k * box_k without the zero ones, in order of k.
+    box_order = np.argsort(box == 0.0, axis=1, kind="stable")
+    box_gens = (box_order[:, None, :] == np.arange(n)[:, None]) * box[:, :, None]
+    tail = np.where(boxing[:, None, None], box_gens, ranked[:, :, q - n:q])
+    out = np.concatenate([ranked[:, :, :q - n], tail], axis=2)
+    widths = np.where(boxing, q - n + (box != 0.0).sum(axis=1), count)
+    if (widths == widths[0]).all():
+        return [(np.arange(batch), np.ascontiguousarray(out[:, :, :widths[0]]))]
+    groups = []
+    for w in np.unique(widths):
+        rows = np.flatnonzero(widths == w)
+        groups.append((rows, np.ascontiguousarray(out[rows, :, :w])))
+    return groups
 
 
 def interval_hull(z: Zonotope) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,8 @@ from zonodiff import (
 )
 from zonodiff.cli import main
 from zonodiff.intersection import frobenius_optimal_gain
-from zonodiff.metrics import BENCH_OPS, RADIUS_HALF_DIAGONAL, radius
+from zonodiff.bench import BENCH_OPS
+from zonodiff.metrics import RADIUS_HALF_DIAGONAL, radius
 from conftest import certified_member
 
 CONTAINMENT_TOL = 1e-7

@@ -37,6 +37,15 @@ class TestConfig:
         assert cfg.steps == 10
         assert cfg.seed == 9
 
+    @pytest.mark.parametrize("content", ['["steps"]', "5", "null"])
+    def test_non_object_config_rejected(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        with pytest.raises(ConfigError):
+            load_config(str(path), {})
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path)]) == 1
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"stepz": 10}))
@@ -115,6 +124,25 @@ class TestCmdRun:
         assert rc == 0
         rows = read_csv(tmp_path / "records.csv")
         assert rows[1][4] == "custom"
+
+    def test_topology_file_sets_node_count(self, tmp_path):
+        # A 3-node path: neighborhood sizes 2, 3, 2 in one round.
+        tfile = tmp_path / "path.json"
+        tfile.write_text(json.dumps({"n": 3,
+                                     "neighbors": [[0, 1], [1, 0, 2], [2, 1]]}))
+        first = tmp_path / "first"
+        for alg in ("sm", "iv"):
+            assert main(["run", "--alg", alg, "--topology-file", str(tfile),
+                         "--out", str(first)] + QUICK) == 0
+            rows = read_csv(first / "records.csv")[1:]
+            assert len(rows) == 3 * 25
+            assert {r[1] for r in rows} == {"0", "1", "2"}
+        assert main(["replay", "--trajectory", str(first / "trajectory.csv"),
+                     "--topology-file", str(tfile), "--out",
+                     str(tmp_path / "again")] + QUICK) == 0
+        # The preset ring has 8 nodes: a 3-node trajectory does not fit it.
+        assert main(["replay", "--trajectory", str(first / "trajectory.csv"),
+                     "--out", str(tmp_path / "ring")] + QUICK) == 1
 
 
 class TestCmdGrid:

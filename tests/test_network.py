@@ -9,6 +9,7 @@ from zonodiff import (
     Strip,
     Topology,
     Zonotope,
+    contains_point,
     f_radius,
     ring_topology,
     run_round,
@@ -16,11 +17,60 @@ from zonodiff import (
     topology_from_json,
     topology_to_json,
 )
-from zonodiff.observers import local_update
+from zonodiff.intersection import optimal_strip_gain
+from zonodiff.observers import fuse_update, local_update
 from zonodiff.plant import paper_scenario, simulate
 
 F_ROT = np.array([[0.992, -0.1247], [0.1247, 0.992]])
 NO_NOISE = np.zeros((2, 0))
+
+
+IRREGULAR = ((0, 1, 2, 3), (1, 0), (2, 0, 3), (3, 0, 2, 4), (4, 3, 5),
+             (5, 4, 6, 7), (6, 5), (7, 5))
+F_CV4 = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                  [0.0, 0.0, 0.98, 0.0], [0.0, 0.0, 0.0, 0.98]])
+ENGINE_CASES = ["ring-k0", "ring-k2", "ring-k4", "ring-k6", "irregular",
+                "point-prior", "near-parallel", "no-noise", "diffusion-off",
+                "n4"]
+
+
+def engine_case(name, kind, rng):
+    """One round's inputs: topology, priors and strips around a true state,
+    plus the observer settings. Every prior contains the truth and every
+    strip is consistent with it."""
+    dim = 4 if name == "n4" else 2
+    truth = rng.normal(size=dim) * 5.0
+    topo = Topology(8, IRREGULAR) if name == "irregular" else ring_topology(
+        8, int(name[-1]) if name.startswith("ring") else 4)
+    counts = [3] * 8
+    if name == "irregular":
+        counts = [2, 3, 4, 25, 5, 9, 2, 25]  # mixed, some above q
+    priors = []
+    for i in range(8):
+        gens = rng.normal(size=(dim, counts[i])) * 4.0
+        if name == "irregular" and i in (2, 7):
+            gens[:, 1] = 0.0  # zero columns dropped only when reducing
+        priors.append(Zonotope(
+            truth - gens @ rng.uniform(-0.8, 0.8, counts[i]), gens))
+    if name == "point-prior":
+        # Pins the fused sets of nodes 0 to 4 (beta = 0), not of 5 to 7.
+        priors[2] = Zonotope.point(truth)
+    rows = np.eye(dim)[:2]
+    hs = [rows[i % 2] for i in range(8)]
+    rs = [0.5] * 8
+    if name == "near-parallel":
+        # Strips of nodes 0 and 1 are nearly parallel and very narrow: the
+        # normal matrix of every neighborhood holding both is singular to
+        # working precision.
+        hs[0], hs[1] = np.array([1.0, 0.0]), np.array([1.0, 1e-9])
+        rs[0] = rs[1] = 1e-7
+    strips = [Strip(h, float(h @ truth) + r * rng.uniform(-1, 1), r)
+              for h, r in zip(hs, rs)]
+    f_matrix = F_CV4 if dim == 4 else F_ROT
+    q_gens = np.zeros((dim, 0)) if name == "no-noise" else 0.3 * np.eye(dim)
+    cfg = ObserverConfig(kind=kind, q=6 if name == "irregular" else 20,
+                         diffusion_enabled=name != "diffusion-off")
+    return topo, priors, strips, cfg, f_matrix, q_gens, truth
 
 
 def make_strips(truth, n, r=0.5, rng=None):
@@ -118,6 +168,39 @@ class TestRunRound:
             assert np.array_equal(rot[j].estimate.center, base[i].estimate.center)
             assert np.array_equal(rot[j].estimate.generators,
                                   base[i].estimate.generators)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    def test_batched_round_matches_per_node_updates(self, case, kind, rng):
+        # Every node's result of one batched round equals the per-node
+        # functions run on that node's neighborhood alone, and contains the
+        # truth.
+        topo, priors, strips, cfg, f_mat, q_gens, truth = engine_case(
+            case, kind, rng)
+        states = [NodeState(i, z) for i, z in enumerate(priors)]
+        new_states, trace = run_round(topo, states, strips, cfg, f_mat, q_gens)
+        own = [local_update(states[i], [strips[j] for j in nbrs], cfg, f_mat,
+                            q_gens) for i, nbrs in enumerate(topo.neighbors)]
+        if case == "near-parallel":
+            fallback = [optimal_strip_gain(z, [strips[j] for j in nbrs])
+                        .used_pseudo_inverse
+                        for z, nbrs in zip(priors, topo.neighbors)]
+            assert any(fallback) and not all(fallback)
+        noise = q_gens @ rng.uniform(-1, 1, q_gens.shape[1])
+        for i, nbrs in enumerate(topo.neighbors):
+            nxt, fused = fuse_update(states[i], own[i],
+                                     [(j, own[j]) for j in nbrs], cfg, f_mat,
+                                     q_gens)
+            got_own = dict(trace.sets_delivered[i])[i]
+            for got, want in [(got_own, own[i]),
+                              (trace.round_estimates[i], fused),
+                              (new_states[i].estimate, nxt.estimate)]:
+                assert np.array_equal(got.center, want.center)
+                assert np.array_equal(got.generators, want.generators)
+            assert new_states[i].node_id == i
+            assert contains_point(nxt.estimate, f_mat @ truth + noise, 1e-7)
+            if kind == "sm":
+                assert contains_point(fused, truth, 1e-7)
 
     def test_trace_payload_counts(self, rng):
         truth = np.array([0.0, 0.0])

@@ -10,7 +10,10 @@ from zonodiff import (
     Zonotope,
     contains_point,
     f_radius,
+    intersect_zonotopes,
     iv_luenberger_update,
+    optimal_diffusion_weights,
+    reduce,
     sm_diffusion_update,
     sm_measurement_update,
     sm_time_update,
@@ -102,6 +105,18 @@ class TestSmDiffusionUpdate:
             pts.append(anchor)
             for p in pts:
                 assert contains_point(out, p, 1e-7)
+
+    def test_matches_public_primitives(self, rng):
+        # The diffusion kernel must stay in step with the public weight and
+        # combination functions, point sets and mixed widths included.
+        for widths in ((4, 4, 4), (3, 0, 6), (5, 2)):
+            zs = [random_zonotope(rng, 2, e) if e else
+                  Zonotope.point(rng.normal(size=2)) for e in widths]
+            want = reduce(intersect_zonotopes(zs, optimal_diffusion_weights(zs)),
+                          6)
+            out = sm_diffusion_update(zs, 6)
+            assert np.array_equal(out.center, want.center)
+            assert np.array_equal(out.generators, want.generators)
 
 
 class TestSmTimeUpdate:

@@ -14,6 +14,7 @@ from zonodiff import (
     reduce,
     vertices_2d,
 )
+from zonodiff.zonotope import reduce_stack
 from conftest import random_zonotope, sample_members, sample_vertices
 
 F_ROT = np.array([[0.992, -0.1247], [0.1247, 0.992]])
@@ -172,6 +173,46 @@ class TestReduce:
         out = reduce(Zonotope([0.0, 0.0], gens), 4)
         assert out.n_generators <= 4
         assert np.all(np.any(out.generators != 0.0, axis=0))
+
+
+def loop_reduce(gens, q):
+    """Column-by-column Girard reduction of one generator matrix: the
+    reference for the stacked kernel."""
+    n = gens.shape[0]
+    if gens.shape[1] <= q:
+        return gens
+    cols = [g for g in gens.T if np.any(g != 0.0)]
+    if len(cols) <= q:
+        return np.array(cols).reshape(-1, n).T
+    score = [np.abs(g).sum() - np.abs(g).max() for g in cols]
+    order = sorted(range(len(cols)), key=lambda j: -score[j])  # stable
+    kept = [cols[j] for j in order[:q - n]]
+    box = sum(np.abs(cols[j]) for j in order[q - n:])
+    kept += [box[i] * np.eye(n)[i] for i in range(n) if box[i] != 0.0]
+    return np.array(kept).T
+
+
+class TestReduceStack:
+    def test_rows_match_loop_reference(self, rng):
+        # One stack holding a row that boxes, one whose box has a zero row,
+        # one left with two generators and one that only drops zero columns.
+        gens = rng.normal(size=(4, 2, 9))
+        gens[1, 1, 2:] = 0.0
+        gens[2, :, 2:] = 0.0
+        gens[3, :, ::2] = 0.0
+        widths = {}
+        for rows, out in reduce_stack(gens, 4):
+            for row, got in zip(rows, out):
+                want = loop_reduce(gens[row], 4)
+                assert got.shape == want.shape
+                assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+                widths[int(row)] = got.shape[1]
+        assert widths == {0: 4, 1: 3, 2: 2, 3: 4}
+
+    def test_small_stack_unchanged(self, rng):
+        gens = rng.normal(size=(3, 2, 4))
+        [(rows, out)] = reduce_stack(gens, 4)
+        assert out is gens and list(rows) == [0, 1, 2]
 
 
 class TestIntervalHull:
