@@ -8,13 +8,10 @@ guaranteed containment of the true state under bounded noise.
 
 from .bench import bench_observer_updates, time_op
 from .intersection import (
-    DiffusionWeights,
     Strip,
-    StripIntersectionGain,
     intersect_strips,
     intersect_zonotopes,
     optimal_diffusion_weights,
-    optimal_strip_gain,
 )
 from .metrics import (
     RADIUS_FROBENIUS,
@@ -38,7 +35,6 @@ from .network import (
     topology_to_json,
 )
 from .observers import (
-    NeighborhoodInput,
     NodeState,
     ObserverConfig,
     ObserverKind,
@@ -46,7 +42,6 @@ from .observers import (
     sm_diffusion_update,
     sm_measurement_update,
     sm_time_update,
-    step,
 )
 from .plant import (
     SystemModel,
@@ -63,8 +58,6 @@ from .zonotope import (
     contains_point,
     f_radius,
     interval_hull,
-    linear_map,
-    minkowski_sum,
     reduce,
     vertices_2d,
 )

@@ -37,22 +37,21 @@ def time_op(op, inputs, repetitions: int) -> float:
 BENCH_OPS = ("measurement", "diffusion", "time", "luenberger")
 
 
-def _bench_inputs(op: str, m: int, rng: np.random.Generator, q: int,
-                  n_gens: int, pool: int):
+def _bench_inputs(op: str, m: int, rng: np.random.Generator, q: int):
     f_matrix = np.array([[0.992, -0.1247], [0.1247, 0.992]])
     q_gens = 0.02 * np.eye(2)
     rows = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
     def rand_zono():
         return Zonotope(rng.uniform(-10, 10, 2),
-                        rng.uniform(-1.0, 1.0, (2, n_gens)))
+                        rng.uniform(-1.0, 1.0, (2, 20)))
 
     def rand_strips():
         return [Strip(rows[j % 2], rng.uniform(-10, 10), 0.2)
                 for j in range(m)]
 
     out = []
-    for _ in range(pool):
+    for _ in range(32):
         if op == "measurement":
             out.append((NodeState(0, rand_zono()), rand_strips()))
         elif op == "diffusion":
@@ -68,16 +67,15 @@ def _bench_inputs(op: str, m: int, rng: np.random.Generator, q: int,
 
 
 def bench_observer_updates(repetitions: int, k_values=(2, 4, 6), seed=0,
-                           q: int = 20, n_generators: int = 20,
-                           pool: int = 32) -> dict:
+                           q: int = 20) -> dict:
     """Table-shaped timing of the four observer sub-steps.
 
-    Returns ``{op: {k: us}}`` for ``op`` in :data:`BENCH_OPS`, timed on
-    randomly generated zonotopes with ``n_generators`` generators and
-    ``k + 1``-member neighborhoods. With at least 1000 repetitions the
-    neighbor counts are timed in ten interleaved passes, and a cell reports
-    the median of its per-pass means, so one burst of host load in one pass
-    cannot reorder the cells.
+    Returns ``{op: {k: us}}`` for ``op`` in :data:`BENCH_OPS`, timed on a
+    pool of 32 randomly generated inputs per cell: zonotopes with 20
+    generators and ``k + 1``-member neighborhoods. With at least 1000
+    repetitions the neighbor counts are timed in ten interleaved passes, and
+    a cell reports the median of its per-pass means, so one burst of host
+    load in one pass cannot reorder the cells.
     """
     ops = {
         "measurement": lambda s, strips: sm_measurement_update(s, strips),
@@ -95,8 +93,7 @@ def bench_observer_updates(repetitions: int, k_values=(2, 4, 6), seed=0,
         for k in k_values:
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, op_index, k)))
-            per_k_inputs[k] = _bench_inputs(name, k + 1, rng, q, n_generators,
-                                            pool)
+            per_k_inputs[k] = _bench_inputs(name, k + 1, rng, q)
             # Warm caches and CPU clocks before the measured runs.
             time_op(ops[name], per_k_inputs[k], min(200, repetitions))
         # Interleave the neighbor counts in round-robin passes so slow

@@ -23,10 +23,7 @@ from .zonotope import Zonotope, stack_zonotopes
 
 __all__ = [
     "Strip",
-    "StripIntersectionGain",
-    "DiffusionWeights",
     "intersect_strips",
-    "optimal_strip_gain",
     "frobenius_optimal_gain",
     "intersect_zonotopes",
     "optimal_diffusion_weights",
@@ -69,56 +66,10 @@ class Strip:
     def dim(self) -> int:
         return self.h.shape[0]
 
-    def contains(self, x, slack: float = 0.0) -> bool:
-        """True if ``x`` satisfies the strip constraint (with optional slack)."""
+    def contains(self, x) -> bool:
+        """True if ``x`` satisfies the strip constraint."""
         return bool(abs(float(self.h @ np.asarray(x, dtype=float)) - self.y)
-                    <= self.r * (1.0 + slack))
-
-
-@dataclass(frozen=True)
-class StripIntersectionGain:
-    """Per-strip gain vectors, stored as the ``n x m`` matrix whose columns
-    are the gains (column ``j`` multiplies the innovation of strip ``j``).
-
-    ``used_pseudo_inverse`` flags that the optimal-gain solve hit an
-    ill-conditioned normal matrix and fell back to a pseudo-inverse.
-    """
-
-    lambdas: np.ndarray
-    used_pseudo_inverse: bool = False
-
-    def __post_init__(self):
-        lam = np.atleast_2d(np.asarray(self.lambdas, dtype=float))
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("gain entries must be finite")
-        lam.flags.writeable = False
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def n_strips(self) -> int:
-        return self.lambdas.shape[1]
-
-
-@dataclass(frozen=True)
-class DiffusionWeights:
-    """Scalar weights for the diffusion combination.
-
-    The weights may be arbitrary finite reals as long as they do not sum to
-    zero; the optimal-weight solver returns weights normalized to sum 1.
-    """
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).reshape(-1)
-        if w.size == 0:
-            raise ValueError("weights must be nonempty")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if abs(w.sum()) <= 1e-15 * max(1.0, np.abs(w).sum()):
-            raise ValueError("weights must not sum to zero")
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+                    <= self.r)
 
 
 def stack_strips(strips, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,16 +105,20 @@ def correct(center, gens, gamma, y, r, lam, front=None):
     return out_center, np.hstack([shrink @ gens, lam * r])
 
 
-def intersect_strips(z: Zonotope, strips, gain: StripIntersectionGain) -> Zonotope:
+def intersect_strips(z: Zonotope, strips, lam) -> Zonotope:
     """Zonotope over-approximation of ``z`` intersected with all ``strips``.
 
-    With gains ``lam_j`` the result is
+    ``lam`` is the ``n x m`` gain matrix whose column ``j`` multiplies the
+    innovation of strip ``j``, such as :func:`frobenius_optimal_gain`
+    returns. With gains ``lam_j`` the result is
     ``c' = c + sum_j lam_j (y_j - h_j c)`` and
     ``G' = [(I - sum_j lam_j h_j) G, lam_1 r_1, ..., lam_m r_m]``,
-    which contains the true intersection for every gain choice.
+    which contains the true intersection for every finite gain choice.
     """
     gamma, y, r = stack_strips(strips, z.dim)
-    lam = gain.lambdas
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("gain entries must be finite")
     if lam.shape != (z.dim, len(y)):
         raise ValueError(
             f"gain shape {lam.shape} does not match (n, m) = ({z.dim}, {len(y)})"
@@ -203,17 +158,6 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
     return rhs.T @ np.linalg.pinv(normal), True
 
 
-def optimal_strip_gain(z: Zonotope, strips) -> StripIntersectionGain:
-    """F-radius-minimizing gains for :func:`intersect_strips`.
-
-    For a point prior (no generators) the gain is zero: the measurement
-    cannot shrink a point.
-    """
-    gamma, _, r = stack_strips(strips, z.dim)
-    lam, fallback = frobenius_optimal_gain(z.generators, gamma, r)
-    return StripIntersectionGain(lam, fallback)
-
-
 def squared_f_radius(gens: np.ndarray) -> np.ndarray:
     """``||G||_F^2`` of each ``n x e`` matrix in the last two axes."""
     return (gens ** 2).sum(axis=(-2, -1))
@@ -245,18 +189,22 @@ def combine(w, centers, gens, col_weights):
     return center, gens * col_weights[:, None, :] / total[:, None, None]
 
 
-def intersect_zonotopes(zs, weights: DiffusionWeights) -> Zonotope:
+def intersect_zonotopes(zs, w) -> Zonotope:
     """Weighted combination over-approximating the intersection of ``zs``.
 
     ``c' = (sum_j w_j c_j) / (sum_j w_j)`` and
-    ``G' = [w_1 G_1, ..., w_m G_m] / (sum_j w_j)``. Sound for any weights
-    with nonzero sum; cost is linear in the total generator count
-    (O(n * sum_j e_j)).
+    ``G' = [w_1 G_1, ..., w_m G_m] / (sum_j w_j)``. Sound for any finite
+    weight vector ``w`` with nonzero sum; cost is linear in the total
+    generator count (O(n * sum_j e_j)).
     """
     zs = list(zs)
     if not zs:
         raise ValueError("at least one zonotope is required")
-    w = weights.w
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if abs(w.sum()) <= 1e-15 * max(1.0, np.abs(w).sum()):
+        raise ValueError("weights must not sum to zero")
     if w.shape[0] != len(zs):
         raise ValueError(f"{w.shape[0]} weights for {len(zs)} zonotopes")
     dim = zs[0].dim
@@ -269,8 +217,8 @@ def intersect_zonotopes(zs, weights: DiffusionWeights) -> Zonotope:
     return stack_zonotopes(center, gens)[0]
 
 
-def optimal_diffusion_weights(zs) -> DiffusionWeights:
-    """Weights minimizing the F-radius of :func:`intersect_zonotopes`.
+def optimal_diffusion_weights(zs) -> np.ndarray:
+    """Weight vector minimizing the F-radius of :func:`intersect_zonotopes`.
 
     With ``beta_j = ||G_j||_F^2`` the minimizer of
     ``sum_j beta_j w_j^2`` subject to ``sum_j w_j = 1`` is
@@ -280,5 +228,5 @@ def optimal_diffusion_weights(zs) -> DiffusionWeights:
     zs = list(zs)
     if not zs:
         raise ValueError("at least one zonotope is required")
-    beta = np.array([squared_f_radius(z.generators) for z in zs])
-    return DiffusionWeights(diffusion_weights(beta))
+    return diffusion_weights(np.array([squared_f_radius(z.generators)
+                                       for z in zs]))

@@ -4,6 +4,7 @@ localization error."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -52,8 +53,10 @@ def hausdorff_2d(a: Zonotope, b: Zonotope) -> float:
     Computed over the discrete vertex sets (not the filled polygons), which
     is the cross-node agreement measure used in the evaluation tables.
     """
-    va = vertices_2d(a)
-    vb = vertices_2d(b)
+    return _vertex_hausdorff(vertices_2d(a), vertices_2d(b))
+
+
+def _vertex_hausdorff(va: np.ndarray, vb: np.ndarray) -> float:
     d = cdist(va, vb)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
@@ -133,16 +136,6 @@ def _stats(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def _pairwise_hausdorff(zonotopes) -> list[float]:
-    verts = [vertices_2d(z) for z in zonotopes]
-    out = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            d = cdist(verts[i], verts[j])
-            out.append(float(max(d.min(axis=1).max(), d.min(axis=0).max())))
-    return out
-
-
 def summarize(records, estimates=None, burn_in: int = 5):
     """Per-step summaries plus the whole-run aggregate.
 
@@ -162,7 +155,10 @@ def summarize(records, estimates=None, burn_in: int = 5):
     if estimates is not None:
         for k, row in enumerate(estimates):
             if len(row) >= 2 and row[0].dim == 2:
-                hausdorff_by_step[k] = _pairwise_hausdorff(row)
+                # Each zonotope's vertices are enumerated once per step.
+                verts = [vertices_2d(z) for z in row]
+                hausdorff_by_step[k] = [_vertex_hausdorff(a, b) for a, b
+                                        in combinations(verts, 2)]
 
     step_summaries = []
     for k in sorted(by_step):

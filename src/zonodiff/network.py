@@ -72,9 +72,6 @@ class Topology:
         object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "neighbors", nbrs)
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
-
     @cached_property
     def _batches(self) -> list:
         """Nodes grouped by neighborhood size, as ``(nodes, neighbors)``
@@ -123,7 +120,17 @@ def topology_to_json(topology: Topology) -> dict:
 
 
 def topology_from_json(data: dict) -> Topology:
-    return Topology(int(data["n"]), tuple(tuple(r) for r in data["neighbors"]))
+    """Inverse of :func:`topology_to_json`. Raises ``ValueError`` unless
+    ``data`` is an object with an integer ``n`` and a list of integer lists
+    in ``neighbors``."""
+    rows = data.get("neighbors") if isinstance(data, dict) else None
+    if (not isinstance(rows, list) or not isinstance(data.get("n"), int)
+            or not all(isinstance(row, list)
+                       and all(isinstance(j, int) for j in row)
+                       for row in rows)):
+        raise ValueError('topology must be an object with an integer "n" and '
+                         'a list of integer neighbor lists in "neighbors"')
+    return Topology(data["n"], tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)

@@ -39,14 +39,12 @@ __all__ = [
     "ObserverKind",
     "ObserverConfig",
     "NodeState",
-    "NeighborhoodInput",
     "sm_measurement_update",
     "sm_diffusion_update",
     "sm_time_update",
     "iv_luenberger_update",
     "local_update",
     "fuse_update",
-    "step",
 ]
 
 
@@ -81,23 +79,6 @@ class NodeState:
 
     node_id: int
     estimate: Zonotope
-
-
-@dataclass(frozen=True)
-class NeighborhoodInput:
-    """Everything a node receives during one round.
-
-    ``strips`` holds ``(source_id, Strip)`` pairs from phase 1 and
-    ``shared_sets`` holds ``(source_id, Zonotope)`` pairs from phase 2; both
-    include the node's own entry.
-    """
-
-    strips: tuple
-    shared_sets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "strips", tuple(self.strips))
-        object.__setattr__(self, "shared_sets", tuple(self.shared_sets))
 
 
 # Stack kernels of phase 2. Each runs one step for a stack of B nodes at
@@ -160,9 +141,6 @@ def _zonotope(center, gens) -> Zonotope:
 
 def sm_measurement_update(state: NodeState, strips) -> Zonotope:
     """Corrected set: prior intersected with all strips at the optimal gain."""
-    strips = list(strips)
-    if not strips:
-        raise ValueError("measurement update requires at least one strip")
     return _zonotope(*_corrected(state.estimate, strips))
 
 
@@ -253,14 +231,3 @@ def fuse_update(state: NodeState, own_corrected: Zonotope, shared_sets,
     else:
         nxt = fused
     return NodeState(state.node_id, nxt), fused
-
-
-def step(state: NodeState, inputs: NeighborhoodInput, cfg: ObserverConfig,
-         f_matrix, q_generators) -> NodeState:
-    """Full per-node round: local update on the delivered strips, then fusion
-    with the delivered shared sets."""
-    strips = [s for _, s in inputs.strips]
-    own = local_update(state, strips, cfg, f_matrix, q_generators)
-    nxt, _ = fuse_update(state, own, inputs.shared_sets, cfg, f_matrix,
-                         q_generators)
-    return nxt

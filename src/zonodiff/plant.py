@@ -102,6 +102,8 @@ class Trajectory:
         if st.shape[0] != ms.shape[0] + 1:
             raise ValueError("states must have exactly one more row than "
                              "measurements")
+        if not (np.isfinite(st).all() and np.isfinite(ms).all()):
+            raise ValueError("states and measurements must be finite")
         st.flags.writeable = False
         ms.flags.writeable = False
         object.__setattr__(self, "states", st)
@@ -155,21 +157,17 @@ def simulate(model: SystemModel, steps: int, seed) -> Trajectory:
     return Trajectory(states, measurements)
 
 
-def alternating_schedule(r_bound: float, group: int = 1
+def alternating_schedule(r_bound: float
                          ) -> Callable[[int, int], tuple[np.ndarray, float]]:
     """Measurement templates alternating between the two position axes.
 
     Every node alternates axes from one step to the next; node ids are
     staggered so adjacent nodes measure complementary axes within a step.
-    ``group`` > 1 instead assigns one axis per block of that many
-    consecutive ids, which leaves sparse neighborhoods with a single
-    observed axis per step.
     """
     rows = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    group = max(1, int(group))
 
     def schedule(node: int, step: int) -> tuple[np.ndarray, float]:
-        return rows[(node // group + step) % 2], r_bound
+        return rows[(node + step) % 2], r_bound
 
     return schedule
 

@@ -15,8 +15,6 @@ from scipy.optimize import linprog
 
 __all__ = [
     "Zonotope",
-    "minkowski_sum",
-    "linear_map",
     "f_radius",
     "reduce",
     "interval_hull",
@@ -117,24 +115,6 @@ def stack_zonotopes(centers: np.ndarray, gens: np.ndarray) -> list[Zonotope]:
     centers.flags.writeable = False
     gens.flags.writeable = False
     return [Zonotope._trusted(c, g) for c, g in zip(centers, gens)]
-
-
-def minkowski_sum(a: Zonotope, b: Zonotope) -> Zonotope:
-    """Exact Minkowski sum ``<c1 + c2, [G1, G2]>``."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return Zonotope(a.center + b.center,
-                    np.hstack([a.generators, b.generators]))
-
-
-def linear_map(matrix, z: Zonotope) -> Zonotope:
-    """Exact image ``L Z = <L c, L G>`` under the linear map ``matrix``."""
-    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if mat.shape[1] != z.dim:
-        raise ValueError(
-            f"map has {mat.shape[1]} columns but zonotope has dimension {z.dim}"
-        )
-    return Zonotope(mat @ z.center, mat @ z.generators)
 
 
 def f_radius(z: Zonotope) -> float:

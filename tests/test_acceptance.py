@@ -14,10 +14,8 @@ import pytest
 from scipy.optimize import minimize
 
 from zonodiff import (
-    DiffusionWeights,
     ObserverConfig,
     Strip,
-    StripIntersectionGain,
     Zonotope,
     bench_observer_updates,
     build_records,
@@ -26,7 +24,6 @@ from zonodiff import (
     intersect_strips,
     intersect_zonotopes,
     optimal_diffusion_weights,
-    optimal_strip_gain,
     paper_scenario,
     run_simulation,
     simulate,
@@ -145,7 +142,10 @@ def test_criterion_2_intersection_soundness():
     for i in range(1000):
         dim = 1 + i % 3
         z, strips, anchor = _random_strip_instance(rng, dim)
-        out = intersect_strips(z, strips, optimal_strip_gain(z, strips))
+        lam, _ = frobenius_optimal_gain(z.generators,
+                                        np.vstack([s.h for s in strips]),
+                                        np.array([s.r for s in strips]))
+        out = intersect_strips(z, strips, lam)
         betas = rng.uniform(-1, 1, (200, z.n_generators))
         pts = z.center + betas @ z.generators.T
         kept = [p for p in pts if all(s.contains(p) for s in strips)][:6]
@@ -263,7 +263,7 @@ def test_criterion_3_closed_form_optimality():
                        rng.normal(size=(2, int(rng.integers(1, 6)))))
               for _ in range(m)]
         beta = np.array([f_radius(z) ** 2 for z in zs])
-        w_star = optimal_diffusion_weights(zs).w
+        w_star = optimal_diffusion_weights(zs)
         f_cf = float(np.sum(beta * w_star ** 2))
 
         ok = True

@@ -125,6 +125,16 @@ class TestCmdRun:
         rows = read_csv(tmp_path / "records.csv")
         assert rows[1][4] == "custom"
 
+    @pytest.mark.parametrize("content", [
+        '{"n": 3}', '[[0, 1], [1, 0]]', '{"n": 3, "neighbors": 5}',
+        '{"n": 2, "neighbors": [[0, 1], [1, null]]}'])
+    def test_malformed_topology_file(self, tmp_path, capsys, content):
+        tfile = tmp_path / "topo.json"
+        tfile.write_text(content)
+        assert main(["run", "--topology-file", str(tfile), "--out",
+                     str(tmp_path / "out")] + QUICK) == 1
+        assert "cannot load topology" in capsys.readouterr().err
+
     def test_topology_file_sets_node_count(self, tmp_path):
         # A 3-node path: neighborhood sizes 2, 3, 2 in one round.
         tfile = tmp_path / "path.json"
@@ -206,6 +216,24 @@ class TestCmdReplay:
     def test_replay_missing_file(self, tmp_path):
         assert main(["replay", "--trajectory", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("column, value", [("x1", "nan"), ("x2", "inf"),
+                                               ("y0", "nan")])
+    def test_non_finite_trajectory_rejected(self, tmp_path, capsys, column,
+                                            value):
+        # Malformed data is a load error, not a containment violation.
+        first = tmp_path / "first"
+        assert main(["run", "--steps", "8", "--out", str(first)]) == 0
+        rows = read_csv(first / "trajectory.csv")
+        rows[3][rows[0].index(column)] = value  # step 2
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        assert main(["replay", "--trajectory", str(bad), "--out",
+                     str(out)]) == 1
+        assert "cannot load trajectory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_containment_violation_exit_code(self, tmp_path):
         # Replaying data generated under wide noise bounds with a config

@@ -3,24 +3,28 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 from zonodiff import (
-    DiffusionWeights,
     Strip,
-    StripIntersectionGain,
     Zonotope,
     contains_point,
     f_radius,
     intersect_strips,
     intersect_zonotopes,
     optimal_diffusion_weights,
-    optimal_strip_gain,
 )
 from zonodiff.intersection import frobenius_optimal_gain
 from conftest import certified_member, random_zonotope, sample_members
 
 
 def gbar_norm(lam, z, strips):
-    gain = StripIntersectionGain(lam)
-    return f_radius(intersect_strips(z, strips, gain))
+    return f_radius(intersect_strips(z, strips, lam))
+
+
+def optimal_gain(z, strips):
+    """F-radius-optimal gain for :func:`intersect_strips` and the flag of
+    its pseudo-inverse fallback."""
+    gamma = np.array([s.h for s in strips])
+    r = np.array([s.r for s in strips])
+    return frobenius_optimal_gain(z.generators, gamma, r)
 
 
 def random_instance(rng, dim):
@@ -54,20 +58,23 @@ class TestStrip:
 
 
 class TestDiffusionWeights:
-    def test_rejects_zero_sum(self):
-        with pytest.raises(ValueError):
-            DiffusionWeights([1.0, -1.0])
+    def test_rejects_zero_sum(self, rng):
+        z = random_zonotope(rng, 2, 2)
+        with pytest.raises(ValueError, match="sum to zero"):
+            intersect_zonotopes([z, z], [1.0, -1.0])
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            DiffusionWeights([np.inf, 1.0])
+    def test_rejects_nonfinite(self, rng):
+        z = random_zonotope(rng, 2, 2)
+        for w in ([np.inf, 1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                intersect_zonotopes([z, z], w)
 
 
 class TestIntersectStrips:
     def test_zero_gain_keeps_set(self, rng):
         z = random_zonotope(rng, 2, 3)
         strips = [Strip([1.0, 0.0], 0.3, 0.2), Strip([0.0, 1.0], -0.1, 0.4)]
-        out = intersect_strips(z, strips, StripIntersectionGain(np.zeros((2, 2))))
+        out = intersect_strips(z, strips, np.zeros((2, 2)))
         assert np.array_equal(out.center, z.center)
         assert np.array_equal(out.generators[:, :3], z.generators)
         assert np.array_equal(out.generators[:, 3:], np.zeros((2, 2)))
@@ -75,8 +82,7 @@ class TestIntersectStrips:
     def test_hand_evaluated_case(self):
         z = Zonotope([0.0, 0.0], np.eye(2))
         strip = Strip([1.0, 0.0], 0.5, 0.1)
-        gain = StripIntersectionGain(np.array([[1.0], [0.0]]))
-        out = intersect_strips(z, [strip], gain)
+        out = intersect_strips(z, [strip], np.array([[1.0], [0.0]]))
         assert np.allclose(out.center, [0.5, 0.0])
         assert np.allclose(out.generators, [[0.0, 0.0, 0.1], [0.0, 1.0, 0.0]])
 
@@ -84,7 +90,16 @@ class TestIntersectStrips:
         z = random_zonotope(rng, 2, 3)
         with pytest.raises(ValueError):
             intersect_strips(z, [Strip([1.0, 0.0, 0.0], 0.0, 1.0)],
-                             StripIntersectionGain(np.zeros((2, 1))))
+                             np.zeros((2, 1)))
+
+    def test_rejects_bad_gain(self, rng):
+        z = random_zonotope(rng, 2, 3)
+        strips = [Strip([1.0, 0.0], 0.0, 1.0)]
+        for lam in ([[np.nan], [0.0]], [[np.inf], [0.0]]):
+            with pytest.raises(ValueError, match="gain entries must be finite"):
+                intersect_strips(z, strips, lam)
+        with pytest.raises(ValueError, match="gain shape"):
+            intersect_strips(z, strips, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_soundness_rejection_sampling(self, rng, dim):
@@ -92,7 +107,7 @@ class TestIntersectStrips:
         # the over-approximation, for arbitrary gains.
         for _ in range(40):
             z, strips, anchor = random_instance(rng, dim)
-            gain = StripIntersectionGain(rng.normal(size=(dim, len(strips))))
+            gain = rng.normal(size=(dim, len(strips)))
             out = intersect_strips(z, strips, gain)
             pts = sample_members(rng, z, 300)
             keep = [p for p in pts
@@ -105,42 +120,42 @@ class TestIntersectStrips:
 class TestOptimalStripGain:
     def test_point_prior_gives_zero_gain(self):
         z = Zonotope([1.0, 2.0], [])
-        gain = optimal_strip_gain(z, [Strip([1.0, 0.0], 0.0, 1.0)])
-        assert np.array_equal(gain.lambdas, np.zeros((2, 1)))
+        lam, _ = optimal_gain(z, [Strip([1.0, 0.0], 0.0, 1.0)])
+        assert np.array_equal(lam, np.zeros((2, 1)))
 
     def test_scalar_case_matches_golden_section(self):
         # 1-D: g = 2, h = 1, r = 1 has optimum g^2 / (g^2 + r^2) = 0.8.
         z = Zonotope([0.0], [[2.0]])
         strip = Strip([1.0], 0.0, 1.0)
-        gain = optimal_strip_gain(z, [strip])
-        assert gain.lambdas[0, 0] == pytest.approx(0.8, abs=1e-12)
+        lam, _ = optimal_gain(z, [strip])
+        assert lam[0, 0] == pytest.approx(0.8, abs=1e-12)
         res = minimize_scalar(
             lambda lam: gbar_norm(np.array([[lam]]), z, [strip]),
             bounds=(-2.0, 2.0), method="bounded",
             options={"xatol": 1e-12})
-        assert gain.lambdas[0, 0] == pytest.approx(res.x, abs=1e-8)
+        assert lam[0, 0] == pytest.approx(res.x, abs=1e-8)
 
     def test_local_minimality_against_perturbations(self, rng):
         z, strips, _ = random_instance(rng, 2)
-        gain = optimal_strip_gain(z, strips)
-        best = gbar_norm(gain.lambdas, z, strips)
+        lam, _ = optimal_gain(z, strips)
+        best = gbar_norm(lam, z, strips)
         for _ in range(1000):
-            delta = rng.normal(size=gain.lambdas.shape) * 0.1
-            assert best <= gbar_norm(gain.lambdas + delta, z, strips) + 1e-12
+            delta = rng.normal(size=lam.shape) * 0.1
+            assert best <= gbar_norm(lam + delta, z, strips) + 1e-12
 
     def test_gradient_zero_at_closed_form(self, rng):
         for _ in range(20):
             dim = int(rng.integers(1, 4))
             z, strips, _ = random_instance(rng, dim)
-            gain = optimal_strip_gain(z, strips)
-            f0 = gbar_norm(gain.lambdas, z, strips) ** 2
-            grad = np.zeros_like(gain.lambdas)
+            lam, _ = optimal_gain(z, strips)
+            f0 = gbar_norm(lam, z, strips) ** 2
+            grad = np.zeros_like(lam)
             eps = 1e-6
-            for idx in np.ndindex(*gain.lambdas.shape):
-                d = np.zeros_like(gain.lambdas)
+            for idx in np.ndindex(*lam.shape):
+                d = np.zeros_like(lam)
                 d[idx] = eps
-                grad[idx] = (gbar_norm(gain.lambdas + d, z, strips) ** 2
-                             - gbar_norm(gain.lambdas - d, z, strips) ** 2) / (2 * eps)
+                grad[idx] = (gbar_norm(lam + d, z, strips) ** 2
+                             - gbar_norm(lam - d, z, strips) ** 2) / (2 * eps)
             assert np.abs(grad).max() < 1e-5 * (1.0 + f0)
 
     def test_pseudo_inverse_fallback_flag(self):
@@ -148,9 +163,9 @@ class TestOptimalStripGain:
         # force the degenerate case with an enormous prior.
         z = Zonotope([0.0, 0.0], [[1e9, 1e9], [1e9, 1e9]])
         strips = [Strip([1.0, 0.0], 0.0, 1e-9), Strip([1.0, 0.0], 0.0, 1e-9)]
-        gain = optimal_strip_gain(z, strips)
-        assert gain.used_pseudo_inverse
-        assert np.all(np.isfinite(gain.lambdas))
+        lam, used_pseudo_inverse = optimal_gain(z, strips)
+        assert used_pseudo_inverse
+        assert np.all(np.isfinite(lam))
 
     def test_all_at_once_equals_strip_by_strip(self, rng):
         # Frobenius-optimal gains make the joint update and the sequential
@@ -158,10 +173,10 @@ class TestOptimalStripGain:
         for _ in range(25):
             dim = int(rng.integers(1, 4))
             z, strips, _ = random_instance(rng, dim)
-            joint = intersect_strips(z, strips, optimal_strip_gain(z, strips))
+            joint = intersect_strips(z, strips, optimal_gain(z, strips)[0])
             seq = z
             for s in strips:
-                seq = intersect_strips(seq, [s], optimal_strip_gain(seq, [s]))
+                seq = intersect_strips(seq, [s], optimal_gain(seq, [s])[0])
             assert f_radius(joint) == pytest.approx(f_radius(seq), abs=1e-8,
                                                     rel=1e-8)
 
@@ -202,13 +217,13 @@ class TestLuenbergerGainForm:
 class TestIntersectZonotopes:
     def test_single_input_identity(self, rng):
         z = random_zonotope(rng, 2, 4)
-        out = intersect_zonotopes([z], DiffusionWeights([1.0]))
+        out = intersect_zonotopes([z], [1.0])
         assert np.array_equal(out.center, z.center)
         assert np.array_equal(out.generators, z.generators)
 
     def test_identical_copies_keep_membership(self, rng):
         z = random_zonotope(rng, 2, 4)
-        out = intersect_zonotopes([z, z, z], DiffusionWeights([1, 1, 1]))
+        out = intersect_zonotopes([z, z, z], [1, 1, 1])
         assert np.allclose(out.center, z.center)
         for p in sample_members(rng, z, 25):
             assert contains_point(out, p, 1e-7)
@@ -216,7 +231,7 @@ class TestIntersectZonotopes:
     def test_disjoint_center_boxes(self, rng):
         a = Zonotope([0.0, 0.0], np.eye(2))
         b = Zonotope([1.0, 0.0], np.eye(2))
-        out = intersect_zonotopes([a, b], DiffusionWeights([0.5, 0.5]))
+        out = intersect_zonotopes([a, b], [0.5, 0.5])
         assert np.allclose(out.center, [0.5, 0.0])
         pts = sample_members(rng, a, 4000)
         true_members = [p for p in pts if contains_point(b, p, 0.0)][:40]
@@ -227,7 +242,7 @@ class TestIntersectZonotopes:
     def test_weight_count_mismatch(self, rng):
         with pytest.raises(ValueError):
             intersect_zonotopes([random_zonotope(rng, 2, 2)],
-                                DiffusionWeights([0.5, 0.5]))
+                                [0.5, 0.5])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_soundness_random_weights(self, rng, dim):
@@ -242,7 +257,7 @@ class TestIntersectZonotopes:
             w = rng.normal(size=m)
             while abs(w.sum()) < 0.3:
                 w = rng.normal(size=m)
-            out = intersect_zonotopes(zs, DiffusionWeights(w))
+            out = intersect_zonotopes(zs, w)
             pts = sample_members(rng, zs[0], 300)
             keep = [p for p in pts
                     if all(certified_member(z, p) for z in zs[1:])][:6]
@@ -254,7 +269,7 @@ class TestIntersectZonotopes:
 class TestOptimalDiffusionWeights:
     def test_beta_one_three(self):
         zs = [Zonotope([0.0], [[1.0]]), Zonotope([0.0], [[np.sqrt(3.0)]])]
-        w = optimal_diffusion_weights(zs).w
+        w = optimal_diffusion_weights(zs)
         assert np.allclose(w, [0.75, 0.25])
         # Grid-search oracle over w1.
         beta = np.array([1.0, 3.0])
@@ -265,17 +280,17 @@ class TestOptimalDiffusionWeights:
     def test_equal_betas_uniform(self, rng):
         g = rng.normal(size=(2, 3))
         zs = [Zonotope(rng.normal(size=2), g) for _ in range(4)]
-        assert np.allclose(optimal_diffusion_weights(zs).w, 0.25)
+        assert np.allclose(optimal_diffusion_weights(zs), 0.25)
 
     def test_beta_one_one_two(self):
         zs = [Zonotope([0.0], [[1.0]]), Zonotope([0.0], [[1.0]]),
               Zonotope([0.0], [[np.sqrt(2.0)]])]
-        assert np.allclose(optimal_diffusion_weights(zs).w, [0.4, 0.4, 0.2])
+        assert np.allclose(optimal_diffusion_weights(zs), [0.4, 0.4, 0.2])
 
     def test_point_sets_pin_the_weights(self, rng):
         zs = [random_zonotope(rng, 2, 3), Zonotope.point([1.0, 2.0]),
               Zonotope.point([3.0, 4.0])]
-        w = optimal_diffusion_weights(zs).w
+        w = optimal_diffusion_weights(zs)
         assert np.allclose(w, [0.0, 0.5, 0.5])
 
     def test_beats_random_simplex_weights(self, rng):
@@ -285,7 +300,7 @@ class TestOptimalDiffusionWeights:
         best = f_radius(intersect_zonotopes(zs, w_star))
         for _ in range(200):
             raw = rng.uniform(0.01, 1.0, 3)
-            w = DiffusionWeights(raw / raw.sum())
+            w = raw / raw.sum()
             assert best <= f_radius(intersect_zonotopes(zs, w)) + 1e-12
 
     def test_closed_form_identity(self, rng):

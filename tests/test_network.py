@@ -17,7 +17,7 @@ from zonodiff import (
     topology_from_json,
     topology_to_json,
 )
-from zonodiff.intersection import optimal_strip_gain
+from zonodiff.intersection import frobenius_optimal_gain
 from zonodiff.observers import fuse_update, local_update
 from zonodiff.plant import paper_scenario, simulate
 
@@ -182,8 +182,9 @@ class TestRunRound:
         own = [local_update(states[i], [strips[j] for j in nbrs], cfg, f_mat,
                             q_gens) for i, nbrs in enumerate(topo.neighbors)]
         if case == "near-parallel":
-            fallback = [optimal_strip_gain(z, [strips[j] for j in nbrs])
-                        .used_pseudo_inverse
+            fallback = [frobenius_optimal_gain(
+                            z.generators, np.array([strips[j].h for j in nbrs]),
+                            np.array([strips[j].r for j in nbrs]))[1]
                         for z, nbrs in zip(priors, topo.neighbors)]
             assert any(fallback) and not all(fallback)
         noise = q_gens @ rng.uniform(-1, 1, q_gens.shape[1])

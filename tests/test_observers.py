@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from zonodiff import (
-    NeighborhoodInput,
     NodeState,
     ObserverConfig,
     ObserverKind,
     Strip,
+    Topology,
     Zonotope,
     contains_point,
     f_radius,
@@ -14,16 +14,17 @@ from zonodiff import (
     iv_luenberger_update,
     optimal_diffusion_weights,
     reduce,
+    run_round,
     sm_diffusion_update,
     sm_measurement_update,
     sm_time_update,
-    step,
 )
 from zonodiff.observers import fuse_update, local_update
 from conftest import certified_member, random_zonotope, sample_members
 
 F_ROT = np.array([[0.992, -0.1247], [0.1247, 0.992]])
 NO_NOISE = np.zeros((2, 0))
+SINGLE = Topology(1, ((0,),))
 
 
 def consistent_instance(rng, dim=2, n_strips=3):
@@ -190,12 +191,8 @@ class TestLuenbergerUpdate:
 
 
 class TestStep:
-    def make_input(self, states, strips, cfg):
-        inputs = []
-        for st_ in states:
-            own = local_update(st_, strips, cfg, F_ROT, NO_NOISE)
-            inputs.append((st_.node_id, own))
-        return inputs
+    """Full rounds: the local update on the delivered strips, then fusion
+    with the delivered corrected sets."""
 
     def test_static_exact_measurement_shrinks(self, rng):
         # Static plant, no process noise: the F-radius can only shrink.
@@ -206,8 +203,8 @@ class TestStep:
         for k in range(10):
             h = np.array([1.0, 0.0]) if k % 2 == 0 else np.array([0.0, 1.0])
             strip = Strip(h, float(h @ truth), 0.05)
-            inp = NeighborhoodInput(((0, strip),), ((0, state.estimate),))
-            state = step(state, inp, cfg, np.eye(2), NO_NOISE)
+            [state], _ = run_round(SINGLE, [state], [strip], cfg, np.eye(2),
+                                   NO_NOISE)
             radii.append(f_radius(state.estimate))
             assert contains_point(state.estimate, truth, 1e-7)
         assert all(radii[i + 1] <= radii[i] + 1e-12 for i in range(len(radii) - 1))
@@ -217,10 +214,10 @@ class TestStep:
         strips = [Strip([1.0, 0.0], 0.4, 0.5), Strip([0.0, 1.0], -0.2, 0.5)]
         cfg = ObserverConfig(kind="sm", q=20, diffusion_enabled=True)
         states = [NodeState(i, z) for i in range(3)]
-        shared = [(i, sm_measurement_update(s, strips)) for i, s in enumerate(states)]
-        outs = [step(s, NeighborhoodInput(
-                    tuple((j, strips[j % 2]) for j in range(2)), tuple(shared)),
-                     cfg, F_ROT, NO_NOISE) for s in states]
+        # Every node's neighborhood lists all three nodes in the same order.
+        complete = Topology(3, ((0, 1, 2),) * 3)
+        outs, _ = run_round(complete, states, [strips[0], strips[1], strips[0]],
+                            cfg, F_ROT, NO_NOISE)
         for other in outs[1:]:
             assert np.allclose(other.estimate.center, outs[0].estimate.center)
             assert np.allclose(other.estimate.generators,
@@ -268,12 +265,12 @@ class TestGuaranteedContainment:
             r = 0.5
             y = float(h @ truth) + r * rng.uniform(-1, 1)
             strip = Strip(h, y, r)
-            inp = NeighborhoodInput(((0, strip),), ((0, state.estimate),))
             if kind == "sm":
                 # Estimate of the current state before propagating.
                 corrected = sm_measurement_update(state, [strip])
                 assert contains_point(corrected, truth, 1e-7)
-            state = step(state, inp, cfg, F_ROT, q_gens)
+            [state], _ = run_round(SINGLE, [state], [strip], cfg, F_ROT,
+                                   q_gens)
             truth = F_ROT @ truth + q_gens @ rng.uniform(-1, 1, 2)
             if kind == "iv":
                 assert contains_point(state.estimate, truth, 1e-7)
