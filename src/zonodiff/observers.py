@@ -20,6 +20,7 @@ in a network round.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,6 +47,8 @@ __all__ = [
     "local_update",
     "fuse_update",
 ]
+
+_log = logging.getLogger("zonodiff")
 
 
 class ObserverKind(str, Enum):
@@ -131,7 +134,10 @@ def _corrected(z: Zonotope, strips, front=None):
     """Center and generators of ``z`` corrected by ``strips`` at the
     F-radius-optimal gain, with front matrix ``front`` (identity if None)."""
     gamma, y, r = stack_strips(strips, z.dim)
-    lam, _ = frobenius_optimal_gain(z.generators, gamma, r, front)
+    lam, fallback = frobenius_optimal_gain(z.generators, gamma, r, front)
+    if fallback:
+        _log.debug("gain solve fell back to a pseudo-inverse: the normal "
+                   "matrix of %d strips is near-singular", len(r))
     return correct(z.center, z.generators, gamma, y, r, lam, front)
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .intersection import Strip
-from .network import Topology, ring_topology
+from .network import ring_topology
 from .zonotope import Zonotope, contains_point
 
 __all__ = [

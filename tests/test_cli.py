@@ -1,8 +1,6 @@
 import csv
 import json
-import os
 
-import numpy as np
 import pytest
 
 from zonodiff.cli import (

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from zonodiff import (
     Strip,

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -202,6 +203,28 @@ class TestRunRound:
             assert contains_point(nxt.estimate, f_mat @ truth + noise, 1e-7)
             if kind == "sm":
                 assert contains_point(fused, truth, 1e-7)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_pseudo_inverse_fallback_logged(self, kind, rng, caplog):
+        # One DEBUG record on the "zonodiff" logger per phase-1 gain solve
+        # that fell back to pinv (some nodes of the near-parallel case), and
+        # none at Python's default level (WARNING).
+        topo, priors, strips, cfg, f_mat, q_gens, _ = engine_case(
+            "near-parallel", kind, rng)
+        states = [NodeState(i, z) for i, z in enumerate(priors)]
+        caplog.set_level(logging.WARNING)
+        run_round(topo, states, strips, cfg, f_mat, q_gens)
+        assert caplog.records == []
+        caplog.set_level(logging.DEBUG, logger="zonodiff")
+        for i, nbrs in enumerate(topo.neighbors):
+            caplog.clear()
+            local_update(states[i], [strips[j] for j in nbrs], cfg, f_mat,
+                         q_gens)
+            fallback = frobenius_optimal_gain(
+                priors[i].generators, np.array([strips[j].h for j in nbrs]),
+                np.array([strips[j].r for j in nbrs]))[1]
+            assert [(r.name, r.levelno) for r in caplog.records] == (
+                [("zonodiff", logging.DEBUG)] if fallback else [])
 
     def test_trace_payload_counts(self, rng):
         truth = np.array([0.0, 0.0])

@@ -13,6 +13,7 @@ from zonodiff import (
     sm_time_update,
     vertices_2d,
 )
+from zonodiff import zonotope
 from zonodiff.zonotope import reduce_stack
 from conftest import random_zonotope, sample_members, sample_vertices
 
@@ -22,13 +23,32 @@ NO_NOISE = np.zeros((2, 0))
 
 
 @st.composite
-def zonotopes_2d(draw, max_gens=6):
+def zonotopes(draw, dim=2, max_gens=6):
     e = draw(st.integers(min_value=0, max_value=max_gens))
     elems = st.floats(min_value=-5, max_value=5, allow_nan=False)
-    center = draw(st.lists(elems, min_size=2, max_size=2))
+    center = draw(st.lists(elems, min_size=dim, max_size=dim))
     gens = draw(st.lists(st.lists(elems, min_size=e, max_size=e),
-                         min_size=2, max_size=2))
-    return Zonotope(np.array(center), np.array(gens).reshape(2, e))
+                         min_size=dim, max_size=dim))
+    return Zonotope(np.array(center), np.array(gens).reshape(dim, e))
+
+
+def facet_offset(rng, z):
+    """Offset from the center of a point on a facet of the full-rank ``z``.
+
+    The facet is spanned by ``n - 1`` random generators; the point's gauge
+    ``min ||b||_inf`` over ``G b = offset`` is exactly 1.
+    """
+    n, e = z.generators.shape
+    subset = rng.choice(e, n - 1, replace=False)
+    normal = np.linalg.svd(z.generators[:, subset].T)[2][-1]
+    b = np.sign(normal @ z.generators)
+    b[subset] = rng.uniform(-1.0, 1.0, n - 1)
+    return z.generators @ b
+
+
+def off_range_direction(z):
+    """Unit vector orthogonal to every generator of a rank-deficient ``z``."""
+    return np.linalg.svd(z.generators)[0][:, -1]
 
 
 class TestConstruction:
@@ -117,7 +137,7 @@ class TestLinearMap:
         with pytest.raises(ValueError):
             sm_time_update(UNIT_BOX, np.eye(3), np.zeros((3, 0)))
 
-    @given(zonotopes_2d())
+    @given(zonotopes())
     @settings(max_examples=30, deadline=None)
     def test_f_radius_of_image(self, z):
         mat = np.array([[1.0, 2.0], [0.5, -1.0]])
@@ -287,12 +307,75 @@ class TestContainsPoint:
         _, upper = interval_hull(z)
         assert not contains_point(z, upper + 0.5, 1e-9)
 
-    @given(zonotopes_2d(max_gens=5), st.lists(
+    @given(zonotopes(max_gens=5), st.lists(
         st.floats(min_value=-1, max_value=1), min_size=5, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_members_by_construction(self, z, beta):
         b = np.array(beta[: z.n_generators])
         assert contains_point(z, z.center + z.generators @ b, 1e-7)
+
+    @given(zonotopes(dim=4, max_gens=8), st.lists(
+        st.floats(min_value=-1, max_value=1), min_size=8, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_members_by_construction_4d(self, z, beta):
+        b = np.array(beta[: z.n_generators])
+        assert contains_point(z, z.center + z.generators @ b, 1e-7)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_facet_test_matches_lp(self, n, rng):
+        # Points with a known answer: the center at tol 0, a vertex at tol
+        # 1e-9, and a facet point scaled to gauge g, a member iff g <= 1.
+        # The facet test and the LP must both give it.
+        for e in sorted({n, n + 1, 12, 20}):
+            for scale in (1e-3, 1.0, 1e6):
+                z = random_zonotope(rng, n, e, scale)
+                gens = z.generators
+                vertex = gens @ np.sign(rng.normal(size=n) @ gens)
+                cases = [(np.zeros(n), 0.0, True), (vertex, 1e-9, True)]
+                for g in (0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-6, 1.5):
+                    cases.append((g * facet_offset(rng, z), 1e-9, g <= 1.0))
+                for d, tol, member in cases:
+                    assert contains_point(z, z.center + d, tol) is member
+                    assert zonotope._contains_lp(gens, d, tol) is member
+
+    def test_lp_only_when_rank_deficient_or_e_small_or_large(
+            self, rng, monkeypatch):
+        real_lp = zonotope._contains_lp
+
+        def no_lp(*args):
+            raise AssertionError("full-rank zonotope reached the LP")
+
+        monkeypatch.setattr(zonotope, "_contains_lp", no_lp)
+        for n in (3, 4):
+            z = random_zonotope(rng, n, 8)
+            for p in sample_members(rng, z, 10):
+                assert contains_point(z, p, 1e-9)
+            assert not contains_point(z, interval_hull(z)[1] + 0.5, 1e-9)
+
+        lp_calls = []
+
+        def counted_lp(*args):
+            lp_calls.append(args)
+            return real_lp(*args)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(zonotope, "_contains_lp", counted_lp)
+        checks = 0
+        for n in (3, 4):
+            basis = rng.normal(size=(n, n - 1))
+            in_plane = Zonotope(rng.normal(size=n),
+                                basis @ rng.normal(size=(n - 1, 8)))
+            for z in (in_plane, random_zonotope(rng, n, n - 1)):
+                for p in sample_members(rng, z, 5):
+                    assert contains_point(z, p, 1e-9)
+                    assert not contains_point(
+                        z, p + 1e-3 * off_range_direction(z), 1e-9)
+                    checks += 2
+        many = random_zonotope(rng, 3, 64)  # C(64, 2) = 2016 subsets
+        for p in sample_members(rng, many, 2):
+            assert contains_point(many, p, 1e-9)
+        assert not contains_point(many, interval_hull(many)[1] + 0.5, 1e-9)
+        assert len(lp_calls) == checks + 3
 
 
 class TestVertices2D:
@@ -346,7 +429,7 @@ class TestVertices2D:
         assert sorted(map(tuple, verts)) == [(-3.0, -1.0), (-3.0, 1.0),
                                              (3.0, -1.0), (3.0, 1.0)]
 
-    @given(zonotopes_2d(max_gens=6))
+    @given(zonotopes(max_gens=6))
     @settings(max_examples=40, deadline=None)
     def test_convex_and_centrally_symmetric(self, z):
         verts = vertices_2d(z)
