@@ -192,9 +192,11 @@ def interval_hull(z: Zonotope) -> tuple[np.ndarray, np.ndarray]:
     return z.center - spread, z.center + spread
 
 
-# More generator subsets than this go to the LP. Single-threaded, the facet
-# test stopped being cheaper than the LP (2-4 ms) at about 5 000 subsets
-# for n = 3, 5 000 to 10 000 for n = 4, 1 500 for n = 5 and 800 for n = 6.
+# More generator subsets than this go to the LP, which also bounds the
+# memory of the subset arrays. Single-threaded, the facet test stopped being
+# cheaper than the LP (2-4 ms) at about 5 000 subsets for n = 3, 5 000 to
+# 10 000 for n = 4, 1 500 for n = 5 and 800 for n = 6, so above n = 4 the
+# facet test can be slower than the LP between those counts and 2 000.
 _MAX_NORMALS = 2_000
 
 
@@ -211,14 +213,6 @@ def _subsets(e: int, k: int) -> np.ndarray:
 # of the n x (n - 1) matrix of the vectors; entry k of a row is a length-m
 # array, one value per cross product. Component i is (-1)^i times the
 # minor without row i.
-
-def _det2(x, y):
-    return x[0] * y[1] - x[1] * y[0]
-
-
-def _cross3(r0, r1, r2):
-    return [_det2(r1, r2), -_det2(r0, r2), _det2(r0, r1)]
-
 
 def _minors2(y, z):
     # 2 x 2 minors of rows y, z for the column pairs (1, 2), (0, 2), (0, 1).
@@ -244,9 +238,6 @@ def _cross_det(*rows):
             for i in range(len(rows))]
 
 
-_CROSS = {3: _cross3, 4: _cross4}
-
-
 def _facet_normals(gens: np.ndarray) -> np.ndarray:
     """Normals of all hyperplanes spanned by ``n - 1`` columns of the
     ``n x e`` matrix ``gens``, one per row of the ``(m, n)`` result.
@@ -260,7 +251,7 @@ def _facet_normals(gens: np.ndarray) -> np.ndarray:
         return np.column_stack([-gens[1], gens[0]])
     # rows[i][k, s]: entry i of generator k of subset s.
     rows = np.take(gens, _subsets(e, n - 1).T, axis=1)
-    return np.column_stack(_CROSS.get(n, _cross_det)(*rows))
+    return np.column_stack((_cross4 if n == 4 else _cross_det)(*rows))
 
 
 def _contains_lp(gens: np.ndarray, d: np.ndarray, tol: float) -> bool:
@@ -290,8 +281,8 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     generators, so ``x`` is a member iff ``|N (x - c)| <= (1 + tol)
     sum_j |N g_j|`` for the normal ``N`` of every ``(n - 1)``-subset of
     generators (in 2-D the perpendicular of each generator). The normals are
-    explicit cofactors for ``n <= 4`` and determinants above. A point set
-    and a 1-D zonotope are compared directly. A small linear program
+    explicit cofactors for ``n = 4`` and batched determinants otherwise. A
+    point set and a 1-D zonotope are compared directly. A small linear program
     minimizing ``||b||_inf`` subject to ``G b = x - c`` decides the rest:
     rank-deficient generator matrices, ``e < n``, and matrices with more
     than 2 000 generator subsets.
