@@ -14,14 +14,11 @@ from .intersection import (
     optimal_diffusion_weights,
 )
 from .metrics import (
-    RADIUS_FROBENIUS,
-    RADIUS_HALF_DIAGONAL,
     SimRecord,
     StepSummary,
     RunSummary,
     build_records,
     hausdorff_2d,
-    radius,
     summarize,
 )
 from .network import (

@@ -12,12 +12,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import bench
 from . import metrics as met
@@ -48,8 +47,6 @@ RECORD_COLUMNS = ["step", "node", "algorithm", "diffusion", "k_neighbors",
                   "step_time_us"]
 SUMMARY_COLUMNS = ["algorithm", "diffusion", "k_neighbors", "metric", "mean",
                    "std"]
-SUMMARY_METRICS = ["radius_frobenius_m", "radius_half_diag_m", "center_err_m",
-                   "hausdorff_m"]
 
 
 class ConfigError(ValueError):
@@ -74,7 +71,6 @@ class RunConfig:
     process_noise: float = 2.4
     measurement_noise: float = 8.0
     out_dir: str = "."
-    radius_metric: str = met.RADIUS_FROBENIUS
     snapshot_every: int = 10
     burn_in: int = 5
     timing: bool = False
@@ -88,11 +84,9 @@ class RunConfig:
             raise ConfigError("steps must be at least 1")
         if self.q < 2:
             raise ConfigError("q must be at least the state dimension (2)")
-        if self.radius_metric not in (met.RADIUS_FROBENIUS,
-                                      met.RADIUS_HALF_DIAGONAL):
-            raise ConfigError(f"unknown radius metric {self.radius_metric!r}")
-        if self.process_noise < 0 or self.measurement_noise <= 0:
-            raise ConfigError("noise scales must be positive "
+        if not (0 <= self.process_noise < math.inf
+                and 0 < self.measurement_noise < math.inf):
+            raise ConfigError("noise scales must be finite and positive "
                               "(process noise may be zero)")
         if self.snapshot_every < 1 or self.burn_in < 0:
             raise ConfigError("snapshot cadence / burn-in out of range")
@@ -178,22 +172,13 @@ def execute_run(cfg: RunConfig, trajectory: Trajectory | None = None):
             if not contains_point(est, trajectory.states[k], CONTAINMENT_TOL):
                 raise ContainmentViolationError(
                     f"true state escaped node {i}'s estimate at step {k}")
-    records = met.build_records(result, trajectory, cfg.radius_metric)
+    records = met.build_records(result, trajectory)
     summary_rows = _summary_rows(cfg, records, result.estimates)
     return records, result.estimates, trajectory, summary_rows
 
 
 def _summary_rows(cfg: RunConfig, records, estimates) -> list[list]:
-    _, run_sel = met.summarize(records, estimates, burn_in=cfg.burn_in)
-    tail = [(rec, estimates[rec.step][rec.node_id]) for rec in records
-            if rec.step >= cfg.burn_in]
-    # The records carry the configured radius; only the other one is new.
-    if cfg.radius_metric == met.RADIUS_FROBENIUS:
-        frob = [rec.radius for rec, _ in tail]
-        half = [met.half_diagonal(rec.lower, rec.upper) for rec, _ in tail]
-    else:
-        frob = [met.radius(z, met.RADIUS_FROBENIUS) for _, z in tail]
-        half = [rec.radius for rec, _ in tail]
+    _, run = met.summarize(records, estimates, burn_in=cfg.burn_in)
     k_label = "custom" if cfg.topology_file else cfg.neighbors
     diff_label = "on" if cfg.diffusion else "off"
 
@@ -204,11 +189,11 @@ def _summary_rows(cfg: RunConfig, records, estimates) -> list[list]:
                 _fmt(std)]
 
     return [
-        row("radius_frobenius_m", float(np.mean(frob)), float(np.std(frob))),
-        row("radius_half_diag_m", float(np.mean(half)), float(np.std(half))),
-        row("center_err_m", run_sel.center_error_mean,
-            run_sel.center_error_std),
-        row("hausdorff_m", run_sel.hausdorff_mean, run_sel.hausdorff_std),
+        row("radius_frobenius_m", run.radius_mean, run.radius_std),
+        row("radius_half_diag_m", run.half_diagonal_mean,
+            run.half_diagonal_std),
+        row("center_err_m", run.center_error_mean, run.center_error_std),
+        row("hausdorff_m", run.hausdorff_mean, run.hausdorff_std),
     ]
 
 
@@ -339,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measurement-noise", type=float)
         p.add_argument("--out", dest="out_dir",
                        help=f"output directory (default ${ENV_OUT_DIR} or .)")
-        p.add_argument("--radius-metric",
-                       choices=[met.RADIUS_FROBENIUS, met.RADIUS_HALF_DIAGONAL])
         p.add_argument("--snapshot-every", type=int)
         p.add_argument("--burn-in", type=int)
         p.add_argument("--timing", action="store_true", default=None,
@@ -360,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    keys = ["algorithm", "neighbors", "topology_file", "steps", "seed", "q",
-            "process_noise", "measurement_noise", "out_dir", "radius_metric",
-            "snapshot_every", "burn_in", "timing"]
-    out = {k: getattr(args, k, None) for k in keys}
+    out = {k: getattr(args, k, None) for k in _CONFIG_KEYS - {"diffusion"}}
     if args.diffusion is not None:
         out["diffusion"] = args.diffusion == "on"
     return out

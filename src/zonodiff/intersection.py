@@ -166,12 +166,15 @@ def squared_f_radius(gens: np.ndarray) -> np.ndarray:
 def diffusion_weights(beta: np.ndarray) -> np.ndarray:
     """Optimal weights along the last axis of ``beta = ||G_j||_F^2``.
 
-    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``; where some ``beta_j`` are 0
-    (point sets) all weight is split uniformly over those.
+    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``; where some ``1/beta_j`` are
+    infinite (point sets: ``beta_j = 0``, or so small that ``1/beta_j``
+    overflows) all weight is split uniformly over those.
     """
-    points = beta == 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / beta
+    points = np.isinf(inv)
     n_points = points.sum(axis=-1, keepdims=True)
-    inv = 1.0 / np.where(points, 1.0, beta)
+    inv = np.where(points, 1.0, inv)
     regular = inv / inv.sum(axis=-1, keepdims=True)
     return np.where(n_points > 0, points / np.maximum(n_points, 1), regular)
 
@@ -222,8 +225,9 @@ def optimal_diffusion_weights(zs) -> np.ndarray:
 
     With ``beta_j = ||G_j||_F^2`` the minimizer of
     ``sum_j beta_j w_j^2`` subject to ``sum_j w_j = 1`` is
-    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``. Point sets (``beta = 0``) pin
-    the result: all weight is split uniformly over them.
+    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``. Point sets (``beta = 0``, or
+    so small that ``1/beta`` overflows) pin the result: all weight is split
+    uniformly over them.
     """
     zs = list(zs)
     if not zs:

@@ -1,5 +1,5 @@
-"""Evaluation metrics: set radius, pairwise Hausdorff distance, center
-localization error."""
+"""Evaluation metrics: set radii (F-radius and interval-hull half
+diagonal), pairwise Hausdorff distance, center localization error."""
 
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ from scipy.spatial.distance import cdist
 from .zonotope import Zonotope, f_radius, interval_hull, vertices_2d
 
 __all__ = [
-    "RADIUS_FROBENIUS",
-    "RADIUS_HALF_DIAGONAL",
-    "radius",
     "half_diagonal",
     "hausdorff_2d",
     "SimRecord",
@@ -23,24 +20,6 @@ __all__ = [
     "build_records",
     "summarize",
 ]
-
-RADIUS_FROBENIUS = "frobenius"
-RADIUS_HALF_DIAGONAL = "half_diagonal"
-
-
-def radius(z: Zonotope, kind: str = RADIUS_FROBENIUS) -> float:
-    """Scalar size of an estimated set.
-
-    ``frobenius`` (default) is the F-radius; ``half_diagonal`` is half the
-    Euclidean diagonal of the interval hull. Both are monotone under
-    generator removal.
-    """
-    if kind == RADIUS_FROBENIUS:
-        return f_radius(z)
-    if kind == RADIUS_HALF_DIAGONAL:
-        return half_diagonal(*interval_hull(z))
-    raise ValueError(f"unknown radius kind {kind!r}")
-
 
 def half_diagonal(lower, upper) -> float:
     """Half the Euclidean diagonal of the box ``[lower, upper]``."""
@@ -63,7 +42,8 @@ def _vertex_hausdorff(va: np.ndarray, vb: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SimRecord:
-    """One per-step, per-node metrics row."""
+    """One per-step, per-node metrics row; ``radius`` is the estimate's
+    F-radius and ``[lower, upper]`` its interval hull."""
 
     step: int
     node_id: int
@@ -101,18 +81,21 @@ class StepSummary:
 @dataclass(frozen=True)
 class RunSummary:
     """Whole-run aggregates over steps x nodes (pairs for Hausdorff),
-    excluding the burn-in steps."""
+    excluding the burn-in steps. ``radius`` is the records' F-radius and
+    ``half_diagonal`` half the diagonal of their interval hulls."""
 
     burn_in: int
     radius_mean: float
     radius_std: float
+    half_diagonal_mean: float
+    half_diagonal_std: float
     center_error_mean: float
     center_error_std: float
     hausdorff_mean: float | None
     hausdorff_std: float | None
 
 
-def build_records(result, trajectory, radius_kind: str = RADIUS_FROBENIUS):
+def build_records(result, trajectory):
     """Turn a :class:`~zonodiff.network.SimulationResult` into metric rows."""
     records = []
     for k, row in enumerate(result.estimates):
@@ -122,7 +105,7 @@ def build_records(result, trajectory, radius_kind: str = RADIUS_FROBENIUS):
             records.append(SimRecord(
                 step=k,
                 node_id=i,
-                radius=radius(est, radius_kind),
+                radius=f_radius(est),
                 center_error=float(np.linalg.norm(est.center - truth)),
                 lower=lower,
                 upper=upper,
@@ -176,6 +159,7 @@ def summarize(records, estimates=None, burn_in: int = 5):
     if not tail:
         raise ValueError("burn-in leaves no records to aggregate")
     r_mean, r_std = _stats([r.radius for r in tail])
+    d_mean, d_std = _stats([half_diagonal(r.lower, r.upper) for r in tail])
     c_mean, c_std = _stats([r.center_error for r in tail])
     h_tail = [v for k, vals in hausdorff_by_step.items() if k >= burn_in
               for v in vals]
@@ -183,5 +167,6 @@ def summarize(records, estimates=None, burn_in: int = 5):
         h_mean, h_std = _stats(h_tail)
     else:
         h_mean = h_std = None
-    run = RunSummary(burn_in, r_mean, r_std, c_mean, c_std, h_mean, h_std)
+    run = RunSummary(burn_in, r_mean, r_std, d_mean, d_std, c_mean, c_std,
+                     h_mean, h_std)
     return step_summaries, run

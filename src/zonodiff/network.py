@@ -300,32 +300,20 @@ def run_simulation(model, topology: Topology, cfg: ObserverConfig,
     step ``k + 1``).
     """
     n = topology.n_nodes
-    steps = trajectory.n_steps
     states = [NodeState(i, model.initial_set) for i in range(n)]
-    estimates: list = []
-    times: list = []
-
-    def round_at(k: int, current_states):
+    # The interval-based estimate for step k comes from round k - 1, so its
+    # first row is the initial set.
+    estimates: list = ([] if cfg.kind is ObserverKind.SET_MEMBERSHIP
+                       else [[s.estimate for s in states]])
+    times: list = [[0.0] * n for _ in estimates]
+    for k in range(trajectory.n_steps - len(estimates)):
         strips = [model.strip_for(i, k, trajectory.measurements[k, i])
                   for i in range(n)]
         t0 = time.perf_counter() if collect_timing else 0.0
-        new_states, trace = run_round(topology, current_states, strips, cfg,
-                                      model.f_matrix, model.q_generators,
-                                      step_index=k)
+        states, trace = run_round(topology, states, strips, cfg,
+                                  model.f_matrix, model.q_generators,
+                                  step_index=k)
         elapsed = (time.perf_counter() - t0) if collect_timing else 0.0
-        per_node = elapsed / n * 1e6
-        return new_states, list(trace.round_estimates), [per_node] * n
-
-    if cfg.kind is ObserverKind.SET_MEMBERSHIP:
-        for k in range(steps):
-            states, ests, ts = round_at(k, states)
-            estimates.append(ests)
-            times.append(ts)
-    else:
-        estimates.append([s.estimate for s in states])
-        times.append([0.0] * n)
-        for k in range(steps - 1):
-            states, ests, ts = round_at(k, states)
-            estimates.append(ests)
-            times.append(ts)
+        estimates.append(list(trace.round_estimates))
+        times.append([elapsed / n * 1e6] * n)
     return SimulationResult(estimates, times)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .intersection import Strip
 from .network import ring_topology
+from .observers import noise_matrix
 from .zonotope import Zonotope, contains_point
 
 __all__ = [
@@ -40,7 +41,7 @@ class SystemModel:
     ``schedule(node, step)`` returns the measurement template
     ``(h_row, r_bound)`` that node uses at that step. ``q_generators`` is
     the process-noise zonotope's generator matrix (zero columns allowed for
-    a noise-free plant).
+    a noise-free plant). The arrays are copied, and the copies frozen.
     """
 
     f_matrix: np.ndarray
@@ -51,15 +52,13 @@ class SystemModel:
     n_nodes: int
 
     def __post_init__(self):
-        f = np.atleast_2d(np.asarray(self.f_matrix, dtype=float))
+        f = np.atleast_2d(np.array(self.f_matrix, dtype=float))
         if f.shape[0] != f.shape[1] or not np.all(np.isfinite(f)):
             raise ValueError("F must be a finite square matrix")
-        qg = np.asarray(self.q_generators, dtype=float)
-        if qg.size == 0:
-            qg = qg.reshape(f.shape[0], 0)
-        if qg.shape[0] != f.shape[0]:
-            raise ValueError("process-noise generators do not match the state")
-        x0 = np.asarray(self.true_initial_state, dtype=float).reshape(-1)
+        qg = noise_matrix(np.array(self.q_generators, dtype=float), f.shape[0])
+        if not np.all(np.isfinite(qg)):
+            raise ValueError("process-noise generators must be finite")
+        x0 = np.array(self.true_initial_state, dtype=float).reshape(-1)
         if x0.shape[0] != f.shape[0]:
             raise ValueError("true initial state does not match the state")
         if not contains_point(self.initial_set, x0, 1e-9):
@@ -90,15 +89,16 @@ class Trajectory:
 
     ``states`` has ``steps + 1`` rows (the transition after the last
     measured step is included); ``measurements[k, i]`` is node ``i``'s
-    observation of ``states[k]``.
+    observation of ``states[k]``. The arrays are copied, and the copies
+    frozen.
     """
 
     states: np.ndarray
     measurements: np.ndarray
 
     def __post_init__(self):
-        st = np.atleast_2d(np.asarray(self.states, dtype=float))
-        ms = np.atleast_2d(np.asarray(self.measurements, dtype=float))
+        st = np.atleast_2d(np.array(self.states, dtype=float))
+        ms = np.atleast_2d(np.array(self.measurements, dtype=float))
         if st.shape[0] != ms.shape[0] + 1:
             raise ValueError("states must have exactly one more row than "
                              "measurements")

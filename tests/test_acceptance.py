@@ -23,6 +23,7 @@ from zonodiff import (
     f_radius,
     intersect_strips,
     intersect_zonotopes,
+    interval_hull,
     optimal_diffusion_weights,
     paper_scenario,
     run_simulation,
@@ -32,7 +33,7 @@ from zonodiff import (
 from zonodiff.cli import main
 from zonodiff.intersection import frobenius_optimal_gain
 from zonodiff.bench import BENCH_OPS
-from zonodiff.metrics import RADIUS_HALF_DIAGONAL, radius
+from zonodiff.metrics import half_diagonal
 from conftest import certified_member
 
 CONTAINMENT_TOL = 1e-7
@@ -71,7 +72,7 @@ def trend_grid():
                     ces.append(run.center_error_mean)
                     tail = [z for s, row in enumerate(res.estimates)
                             if s >= 5 for z in row]
-                    rads.append(np.mean([radius(z, RADIUS_HALF_DIAGONAL)
+                    rads.append(np.mean([half_diagonal(*interval_hull(z))
                                          for z in tail]))
                 grid[(alg, k, diffusion)] = {
                     "hausdorff": float(np.mean(hs)),

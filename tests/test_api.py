@@ -1,7 +1,8 @@
 """Size of the public API: every exported name resolves, and the top-level
-``zonodiff`` names are pinned, so any growth of the API is a change to this
-test."""
+``zonodiff`` names and the run options are pinned, so any growth of the API
+is a change to this test."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -9,6 +10,7 @@ import pkgutil
 import pytest
 
 import zonodiff
+from zonodiff.cli import RunConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(zonodiff.__path__))
 
@@ -30,8 +32,8 @@ TOP_LEVEL = {
     "sample_in_zonotope", "simulate", "trajectory_from_csv",
     "trajectory_to_csv",
     # metrics
-    "RADIUS_FROBENIUS", "RADIUS_HALF_DIAGONAL", "RunSummary", "SimRecord",
-    "StepSummary", "build_records", "hausdorff_2d", "radius", "summarize",
+    "RunSummary", "SimRecord", "StepSummary", "build_records", "hausdorff_2d",
+    "summarize",
     # bench
     "bench_observer_updates", "time_op",
 }
@@ -47,3 +49,14 @@ def test_top_level_names_are_pinned():
     names = {n for n, v in vars(zonodiff).items()
              if not n.startswith("_") and not inspect.ismodule(v)}
     assert names == TOP_LEVEL
+
+
+RUN_OPTIONS = {
+    "algorithm", "diffusion", "neighbors", "topology_file", "steps", "seed",
+    "q", "process_noise", "measurement_noise", "out_dir", "snapshot_every",
+    "burn_in", "timing",
+}
+
+
+def test_run_options_are_pinned():
+    assert {f.name for f in dataclasses.fields(RunConfig)} == RUN_OPTIONS

@@ -55,6 +55,25 @@ class TestConfig:
         cfg = load_config(None, {})
         assert cfg.out_dir == str(tmp_path)
 
+    @pytest.mark.parametrize("flag", ["--process-noise", "--measurement-noise"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_rejected(self, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert main(["run", flag, value, "--out", str(out)] + QUICK) == 1
+        assert not out.exists()
+
+    def test_radius_metric_option_removed(self, tmp_path):
+        # Records and summaries always carry the F-radius, and the summary
+        # the half diagonal too: there is nothing to choose.
+        out = tmp_path / "out"
+        assert main(["run", "--radius-metric", "frobenius", "--out",
+                     str(out)] + QUICK) == 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"radius_metric": "frobenius"}))
+        assert main(["run", "--config", str(path), "--out", str(out)]
+                    + QUICK) == 1
+        assert not out.exists()
+
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
             RunConfig(algorithm="bogus").validate()

@@ -293,6 +293,17 @@ class TestOptimalDiffusionWeights:
         w = optimal_diffusion_weights(zs)
         assert np.allclose(w, [0.0, 0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_sets_count_as_points(self):
+        # Generators of 1e-156 give a subnormal beta whose inverse
+        # overflows: such a member is weighted like a point set.
+        tiny = Zonotope([0.0, 0.0], 1e-156 * np.eye(2))
+        wide = Zonotope([1.0, 1.0], np.eye(2))
+        point = Zonotope.point([2.0, 2.0])
+        assert optimal_diffusion_weights([tiny, wide]).tolist() == [1.0, 0.0]
+        assert optimal_diffusion_weights(
+            [wide, tiny, point]).tolist() == [0.0, 0.5, 0.5]
+
     def test_beats_random_simplex_weights(self, rng):
         zs = [random_zonotope(rng, 2, int(rng.integers(1, 5)))
               for _ in range(3)]

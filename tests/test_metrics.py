@@ -4,20 +4,22 @@ import pytest
 from zonodiff import (
     ObserverConfig,
     SimRecord,
+    SimulationResult,
+    Trajectory,
     Zonotope,
     bench_observer_updates,
     build_records,
     f_radius,
     hausdorff_2d,
+    interval_hull,
     paper_scenario,
-    radius,
     run_simulation,
     simulate,
     summarize,
     time_op,
     vertices_2d,
 )
-from zonodiff.metrics import RADIUS_FROBENIUS, RADIUS_HALF_DIAGONAL
+from zonodiff.metrics import half_diagonal
 from conftest import random_zonotope
 
 
@@ -34,23 +36,22 @@ def brute_force_hausdorff(va, vb):
 class TestRadius:
     def test_initial_box_frobenius(self):
         z = Zonotope([0.0, 0.0], np.diag([80.0, 80.0]))
-        assert radius(z) == pytest.approx(np.sqrt(2) * 80.0)
-        assert radius(z) == pytest.approx(113.137, abs=1e-3)
+        assert f_radius(z) == pytest.approx(np.sqrt(2) * 80.0)
+        assert f_radius(z) == pytest.approx(113.137, abs=1e-3)
 
     def test_point(self):
-        assert radius(Zonotope.point([1.0, 1.0])) == 0.0
+        assert f_radius(Zonotope.point([1.0, 1.0])) == 0.0
 
     def test_matches_f_radius(self, rng):
+        # The records carry the F-radius.
         z = random_zonotope(rng, 2, 7)
-        assert radius(z, RADIUS_FROBENIUS) == f_radius(z)
+        traj = Trajectory(np.zeros((2, 2)), np.zeros((1, 1)))
+        [rec] = build_records(SimulationResult([[z]], [[0.0]]), traj)
+        assert rec.radius == f_radius(z)
 
     def test_half_diagonal(self):
         z = Zonotope([0.0, 0.0], np.diag([3.0, 4.0]))
-        assert radius(z, RADIUS_HALF_DIAGONAL) == pytest.approx(5.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            radius(Zonotope.point([0.0]), "volume")
+        assert half_diagonal(*interval_hull(z)) == pytest.approx(5.0)
 
 
 class TestHausdorff:
@@ -123,6 +124,16 @@ class TestRecordsAndSummaries:
         assert steps[0].radius_mean == 2.0
         assert steps[0].radius_std == 1.0
         assert run.center_error_mean == 2.0
+
+    def test_half_diagonal_hand_stats(self):
+        # Boxes with half diagonals 1 and 3: mean 2, std 1; the burn-in step
+        # (half diagonal 5) is left out.
+        records = [SimRecord(s, 0, 1.0, 1.0, np.zeros(2), np.array(up), 0.0)
+                   for s, up in [(0, [6.0, 8.0]), (1, [2.0, 0.0]),
+                                 (2, [0.0, 6.0])]]
+        _, run = summarize(records, burn_in=1)
+        assert run.half_diagonal_mean == 2.0
+        assert run.half_diagonal_std == 1.0
 
     def test_single_node_hausdorff_undefined(self):
         records = [SimRecord(s, 0, 1.0, 1.0, np.zeros(2), np.ones(2), 0.0)

@@ -226,6 +226,21 @@ class TestRunRound:
             assert [(r.name, r.levelno) for r in caplog.records] == (
                 [("zonodiff", logging.DEBUG)] if fallback else [])
 
+    def test_tiny_prior_round(self, rng):
+        # Corrected sets of a 1e-156 prior have a subnormal beta whose
+        # inverse overflows; the round must still give finite sets that
+        # contain the truth.
+        truth = np.zeros(2)
+        prior = Zonotope(truth, 1e-156 * np.eye(2))
+        states = [NodeState(i, prior) for i in range(8)]
+        q_gens = 0.3 * np.eye(2)
+        new_states, trace = run_round(ring_topology(8, 4), states,
+                                      make_strips(truth, 8, rng=rng), self.cfg,
+                                      F_ROT, q_gens)
+        for fused, nxt in zip(trace.round_estimates, new_states):
+            assert contains_point(fused, truth, 1e-7)
+            assert contains_point(nxt.estimate, F_ROT @ truth, 1e-7)
+
     def test_trace_payload_counts(self, rng):
         truth = np.array([0.0, 0.0])
         strips = make_strips(truth, 8, rng=rng)

@@ -107,6 +107,14 @@ class TestSmDiffusionUpdate:
             for p in pts:
                 assert contains_point(out, p, 1e-7)
 
+    def test_tiny_set_pins_the_result(self):
+        # A member whose 1/beta overflows (generators of 1e-156) takes all
+        # the weight, as a point set would.
+        tiny = Zonotope([0.5, -0.5], 1e-156 * np.eye(2))
+        out = sm_diffusion_update([Zonotope([1.0, 1.0], np.eye(2)), tiny], 20)
+        assert np.array_equal(out.center, tiny.center)
+        assert f_radius(out) == f_radius(tiny)
+
     def test_matches_public_primitives(self, rng):
         # The diffusion kernel must stay in step with the public weight and
         # combination functions, point sets and mixed widths included.

@@ -33,7 +33,35 @@ class TestSampleInZonotope:
             assert contains_point(z, sample_in_zonotope(z, rng), 1e-9)
 
 
+def make_model(f_matrix=None, q_generators=None, true_initial_state=None):
+    return SystemModel(
+        f_matrix=np.eye(2) if f_matrix is None else f_matrix,
+        q_generators=np.eye(2) if q_generators is None else q_generators,
+        schedule=alternating_schedule(1.0),
+        initial_set=Zonotope([0.0, 0.0], np.eye(2)),
+        true_initial_state=(np.zeros(2) if true_initial_state is None
+                            else true_initial_state),
+        n_nodes=4,
+    )
+
+
 class TestSystemModel:
+    def test_copies_caller_arrays(self):
+        f, q, x0 = np.eye(2), np.eye(2), np.zeros(2)
+        model = make_model(f, q, x0)
+        f[0, 0] = q[0, 0] = x0[0] = 0.5
+        assert model.f_matrix[0, 0] == model.q_generators[0, 0] == 1.0
+        assert model.true_initial_state[0] == 0.0
+        with pytest.raises(ValueError):
+            model.f_matrix[0, 0] = 0.5
+
+    @pytest.mark.parametrize("q_generators", [
+        np.ones(2), np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf], [0.0]])], ids=["1-d", "nan", "inf"])
+    def test_rejects_bad_process_noise(self, q_generators):
+        with pytest.raises(ValueError):
+            make_model(q_generators=q_generators)
+
     def test_rejects_initial_state_outside_set(self):
         with pytest.raises(ValueError):
             SystemModel(
@@ -130,6 +158,14 @@ class TestTrajectoryCsv:
         back = trajectory_from_csv(trajectory_to_csv(traj))
         assert np.array_equal(back.states, traj.states)
         assert np.array_equal(back.measurements, traj.measurements)
+
+    def test_copies_caller_arrays(self):
+        states, measurements = np.zeros((3, 2)), np.zeros((2, 4))
+        traj = Trajectory(states, measurements)
+        states[0, 0] = measurements[0, 0] = 1.0
+        assert traj.states[0, 0] == traj.measurements[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            traj.states[0, 0] = 1.0
 
     def test_rejects_mismatched_rows(self):
         with pytest.raises(ValueError):
