@@ -3,6 +3,7 @@ and acceptance criterion 7)."""
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
@@ -22,16 +23,28 @@ __all__ = ["time_op", "bench_observer_updates", "BENCH_OPS"]
 
 def time_op(op, inputs, repetitions: int) -> float:
     """Mean wall-clock microseconds of ``op(*args)`` over ``repetitions``
-    calls, cycling through the pre-built ``inputs`` argument tuples."""
+    calls, cycling through the pre-built ``inputs`` argument tuples.
+
+    The cyclic garbage collector is off while timing (as in ``timeit``):
+    its cost grows with everything else alive in the process, not with
+    the operation.
+    """
     repetitions = int(repetitions)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     inputs = list(inputs)
     n = len(inputs)
-    start = time.perf_counter()
-    for i in range(repetitions):
-        op(*inputs[i % n])
-    return (time.perf_counter() - start) / repetitions * 1e6
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for i in range(repetitions):
+            op(*inputs[i % n])
+        elapsed = time.perf_counter() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return elapsed / repetitions * 1e6
 
 
 BENCH_OPS = ("measurement", "diffusion", "time", "luenberger")
@@ -72,10 +85,13 @@ def bench_observer_updates(repetitions: int, k_values=(2, 4, 6), seed=0,
 
     Returns ``{op: {k: us}}`` for ``op`` in :data:`BENCH_OPS`, timed on a
     pool of 32 randomly generated inputs per cell: zonotopes with 20
-    generators and ``k + 1``-member neighborhoods. With at least 1000
-    repetitions the neighbor counts are timed in ten interleaved passes, and
-    a cell reports the median of its per-pass means, so one burst of host
-    load in one pass cannot reorder the cells.
+    generators and ``k + 1``-member neighborhoods. Every cell runs
+    ``repetitions`` calls, split into paired passes (up to 200, of at least
+    100 calls per cell) that time the neighbor counts back to back, in
+    alternating order. A cell reports the median over passes of its share
+    of the pass mean, times the median pass mean, so host load that
+    changes between passes scales a whole pass and drops out of the
+    comparison between neighbor counts.
     """
     ops = {
         "measurement": lambda s, strips: sm_measurement_update(s, strips),
@@ -86,26 +102,24 @@ def bench_observer_updates(repetitions: int, k_values=(2, 4, 6), seed=0,
     }
     table: dict = {name: {} for name in BENCH_OPS}
     k_values = tuple(k_values)
-    passes = 10 if repetitions >= 1000 else 1
-    chunk = max(1, repetitions // passes)
+    passes = max(1, min(200, repetitions // 100))
+    sizes = [repetitions // passes + (p < repetitions % passes)
+             for p in range(passes)]
     for op_index, name in enumerate(BENCH_OPS):
-        per_k_inputs = {}
+        per_k_inputs = []
         for k in k_values:
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, op_index, k)))
-            per_k_inputs[k] = _bench_inputs(name, k + 1, rng, q)
+            per_k_inputs.append(_bench_inputs(name, k + 1, rng, q))
             # Warm caches and CPU clocks before the measured runs.
-            time_op(ops[name], per_k_inputs[k], min(200, repetitions))
-        # Interleave the neighbor counts in round-robin passes so slow
-        # clock drift biases every cell equally.
-        pass_means = {k: [] for k in k_values}
-        counts = {k: 0 for k in k_values}
-        while min(counts.values()) < repetitions:
-            for k in k_values:
-                n = min(chunk, repetitions - counts[k])
-                if n > 0:
-                    pass_means[k].append(time_op(ops[name], per_k_inputs[k], n))
-                    counts[k] += n
-        for k in k_values:
-            table[name][k] = float(np.median(pass_means[k]))
+            time_op(ops[name], per_k_inputs[-1], min(200, repetitions))
+        times = np.empty((passes, len(k_values)))
+        order = list(range(len(k_values)))
+        for p, n in enumerate(sizes):
+            for j in (order if p % 2 == 0 else order[::-1]):
+                times[p, j] = time_op(ops[name], per_k_inputs[j], n)
+        pass_means = times.mean(axis=1, keepdims=True)
+        cells = np.median(times / pass_means, axis=0) * np.median(pass_means)
+        for k, us in zip(k_values, cells):
+            table[name][k] = float(us)
     return table
