@@ -14,7 +14,7 @@ from .intersection import (
     optimal_diffusion_weights,
 )
 from .metrics import (
-    SimRecord,
+    Records,
     StepSummary,
     RunSummary,
     build_records,

@@ -16,7 +16,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from . import bench
 from . import metrics as met
@@ -57,6 +59,12 @@ class ContainmentViolationError(RuntimeError):
     """The true state escaped an estimated set during a run."""
 
 
+# Accepted types by the annotation of a RunConfig field (annotations are
+# strings here); config-file values can be any JSON type.
+_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "bool": bool,
+                "int": int, "float": (int, float)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run's parameters. Config-file values are overridden by flags."""
@@ -76,6 +84,11 @@ class RunConfig:
     timing: bool = False
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
         if self.algorithm not in ("sm", "iv"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.topology_file is None and self.neighbors not in (2, 4, 6):
@@ -90,6 +103,9 @@ class RunConfig:
                               "(process noise may be zero)")
         if self.snapshot_every < 1 or self.burn_in < 0:
             raise ConfigError("snapshot cadence / burn-in out of range")
+        if self.burn_in >= self.steps:
+            raise ConfigError(f"burn-in ({self.burn_in}) leaves none of the "
+                              f"{self.steps} steps to aggregate")
         return self
 
 
@@ -197,20 +213,20 @@ def _summary_rows(cfg: RunConfig, records, estimates) -> list[list]:
     ]
 
 
-def _records_csv(cfg: RunConfig, records) -> str:
+def _records_csv(cfg: RunConfig, records: met.Records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORD_COLUMNS)
     diff_label = "on" if cfg.diffusion else "off"
     k_label = "custom" if cfg.topology_file else cfg.neighbors
-    for rec in records:
-        writer.writerow([
-            rec.step, rec.node_id, cfg.algorithm, diff_label, k_label,
-            _fmt(rec.radius), _fmt(rec.center_error),
-            _fmt(rec.lower[0]), _fmt(rec.upper[0]),
-            _fmt(rec.lower[1]), _fmt(rec.upper[1]),
-            _fmt(rec.step_time_us),
-        ])
+    values = np.stack([records.radius, records.center_error,
+                       records.lower[..., 0], records.upper[..., 0],
+                       records.lower[..., 1], records.upper[..., 1],
+                       records.step_time_us], axis=-1)
+    for (step, node), row in zip(np.ndindex(records.radius.shape),
+                                 values.reshape(records.radius.size, -1)):
+        writer.writerow([step, node, cfg.algorithm, diff_label, k_label,
+                         *map(_fmt, row)])
     return buf.getvalue()
 
 
@@ -300,7 +316,7 @@ def cmd_replay(cfg: RunConfig, trajectory_path: str) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(
             f"cannot load trajectory {trajectory_path}: {exc}") from exc
-    cfg = replace(cfg, steps=trajectory.n_steps)
+    cfg = replace(cfg, steps=trajectory.n_steps).validate()
     return cmd_run(cfg, trajectory)
 
 

@@ -172,11 +172,19 @@ def diffusion_weights(beta: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / beta
-    points = np.isinf(inv)
+        points = np.isinf(inv)
+        inv = np.where(points, 1.0, inv)
+        total = inv.sum(axis=-1, keepdims=True)
+    overflow = np.isinf(total)
+    if overflow.any():
+        # Finite 1/beta whose sum overflows (beta near 1e-308): those rows
+        # are divided by their largest 1/beta first, the others by 1, which
+        # leaves them bit for bit as they were.
+        inv = inv / np.where(overflow, inv.max(axis=-1, keepdims=True), 1.0)
+        total = inv.sum(axis=-1, keepdims=True)
     n_points = points.sum(axis=-1, keepdims=True)
-    inv = np.where(points, 1.0, inv)
-    regular = inv / inv.sum(axis=-1, keepdims=True)
-    return np.where(n_points > 0, points / np.maximum(n_points, 1), regular)
+    return np.where(n_points > 0, points / np.maximum(n_points, 1),
+                    inv / total)
 
 
 def combine(w, centers, gens, col_weights):

@@ -14,7 +14,7 @@ from .zonotope import Zonotope, f_radius, interval_hull, vertices_2d
 __all__ = [
     "half_diagonal",
     "hausdorff_2d",
-    "SimRecord",
+    "Records",
     "StepSummary",
     "RunSummary",
     "build_records",
@@ -41,41 +41,31 @@ def _vertex_hausdorff(va: np.ndarray, vb: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class SimRecord:
-    """One per-step, per-node metrics row; ``radius`` is the estimate's
-    F-radius and ``[lower, upper]`` its interval hull."""
+class Records:
+    """Per-step, per-node metrics of one run: ``radius`` (the estimate's
+    F-radius), ``center_error`` and ``step_time_us`` have shape
+    ``(steps, nodes)``; ``[lower, upper]`` is the interval hull, shape
+    ``(steps, nodes, n)``."""
 
-    step: int
-    node_id: int
-    radius: float
-    center_error: float
+    radius: np.ndarray
+    center_error: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    step_time_us: float
-
-    def __post_init__(self):
-        if self.radius < 0 or self.center_error < 0:
-            raise ValueError("radius and center error must be nonnegative")
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+    step_time_us: np.ndarray
 
 
 @dataclass(frozen=True)
 class StepSummary:
-    """Across-node statistics of one step (Hausdorff over unordered pairs;
-    ``None`` when fewer than two nodes exist)."""
+    """Across-node statistics of every step, as ``(steps,)`` arrays
+    (Hausdorff over unordered pairs; ``None`` when fewer than two nodes
+    exist or the sets are not 2-D)."""
 
-    step: int
-    radius_mean: float
-    radius_std: float
-    center_error_mean: float
-    center_error_std: float
-    hausdorff_mean: float | None
-    hausdorff_std: float | None
+    radius_mean: np.ndarray
+    radius_std: np.ndarray
+    center_error_mean: np.ndarray
+    center_error_std: np.ndarray
+    hausdorff_mean: np.ndarray | None
+    hausdorff_std: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -95,78 +85,61 @@ class RunSummary:
     hausdorff_std: float | None
 
 
-def build_records(result, trajectory):
-    """Turn a :class:`~zonodiff.network.SimulationResult` into metric rows."""
-    records = []
-    for k, row in enumerate(result.estimates):
-        truth = trajectory.states[k]
-        for i, est in enumerate(row):
-            lower, upper = interval_hull(est)
-            records.append(SimRecord(
-                step=k,
-                node_id=i,
-                radius=f_radius(est),
-                center_error=float(np.linalg.norm(est.center - truth)),
-                lower=lower,
-                upper=upper,
-                step_time_us=float(result.times_us[k][i]),
-            ))
-    return records
+def build_records(result, trajectory) -> Records:
+    """Metrics of a :class:`~zonodiff.network.SimulationResult` as arrays."""
+    rows = result.estimates
+    hulls = np.array([[interval_hull(est) for est in row] for row in rows])
+    return Records(
+        radius=np.array([[f_radius(est) for est in row] for row in rows]),
+        center_error=np.array([[np.linalg.norm(est.center - truth)
+                                for est in row]
+                               for row, truth in zip(rows, trajectory.states)]),
+        lower=hulls[:, :, 0],
+        upper=hulls[:, :, 1],
+        step_time_us=np.array(result.times_us, dtype=float),
+    )
 
 
-def _stats(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
+def _stats(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std())
 
 
-def summarize(records, estimates=None, burn_in: int = 5):
-    """Per-step summaries plus the whole-run aggregate.
+def summarize(records: Records, estimates=None, burn_in: int = 5):
+    """Per-step summaries plus the whole-run aggregate: ``(steps, run)``,
+    a :class:`StepSummary` of ``(steps,)`` arrays and a :class:`RunSummary`.
 
     ``estimates`` is the optional ``[step][node]`` list of zonotopes; when
     given (and 2-D with at least two nodes) pairwise Hausdorff statistics
     are included. ``burn_in`` steps are excluded from the run aggregate so
     the large initial set does not dominate.
     """
-    records = list(records)
-    if not records:
+    if records.radius.size == 0:
         raise ValueError("no records to summarize")
-    by_step: dict[int, list[SimRecord]] = {}
-    for rec in records:
-        by_step.setdefault(rec.step, []).append(rec)
-
-    hausdorff_by_step: dict[int, list[float]] = {}
-    if estimates is not None:
-        for k, row in enumerate(estimates):
-            if len(row) >= 2 and row[0].dim == 2:
-                # Each zonotope's vertices are enumerated once per step.
-                verts = [vertices_2d(z) for z in row]
-                hausdorff_by_step[k] = [_vertex_hausdorff(a, b) for a, b
-                                        in combinations(verts, 2)]
-
-    step_summaries = []
-    for k in sorted(by_step):
-        rows = by_step[k]
-        r_mean, r_std = _stats([r.radius for r in rows])
-        c_mean, c_std = _stats([r.center_error for r in rows])
-        if k in hausdorff_by_step:
-            h_mean, h_std = _stats(hausdorff_by_step[k])
-        else:
-            h_mean = h_std = None
-        step_summaries.append(StepSummary(k, r_mean, r_std, c_mean, c_std,
-                                          h_mean, h_std))
-
-    tail = [r for r in records if r.step >= burn_in]
-    if not tail:
+    if burn_in >= len(records.radius):
         raise ValueError("burn-in leaves no records to aggregate")
-    r_mean, r_std = _stats([r.radius for r in tail])
-    d_mean, d_std = _stats([half_diagonal(r.lower, r.upper) for r in tail])
-    c_mean, c_std = _stats([r.center_error for r in tail])
-    h_tail = [v for k, vals in hausdorff_by_step.items() if k >= burn_in
-              for v in vals]
-    if h_tail:
-        h_mean, h_std = _stats(h_tail)
-    else:
-        h_mean = h_std = None
-    run = RunSummary(burn_in, r_mean, r_std, d_mean, d_std, c_mean, c_std,
-                     h_mean, h_std)
-    return step_summaries, run
+    hausdorff = None
+    if (estimates is not None and len(estimates[0]) >= 2
+            and estimates[0][0].dim == 2):
+        # Each zonotope's vertices are enumerated once per step.
+        hausdorff = np.array([
+            [_vertex_hausdorff(a, b)
+             for a, b in combinations([vertices_2d(z) for z in row], 2)]
+            for row in estimates])
+
+    steps = StepSummary(
+        records.radius.mean(axis=1), records.radius.std(axis=1),
+        records.center_error.mean(axis=1), records.center_error.std(axis=1),
+        None if hausdorff is None else hausdorff.mean(axis=1),
+        None if hausdorff is None else hausdorff.std(axis=1))
+
+    n = records.lower.shape[2]
+    diagonals = np.array([
+        half_diagonal(lo, up)
+        for lo, up in zip(records.lower[burn_in:].reshape(-1, n),
+                          records.upper[burn_in:].reshape(-1, n))])
+    run = RunSummary(burn_in, *_stats(records.radius[burn_in:]),
+                     *_stats(diagonals),
+                     *_stats(records.center_error[burn_in:]),
+                     *((None, None) if hausdorff is None
+                       else _stats(hausdorff[burn_in:])))
+    return steps, run

@@ -349,15 +349,8 @@ def vertices_2d(z: Zonotope) -> np.ndarray:
         return z.center.reshape(1, 2).copy()
     gens = _merge_collinear(gens)
     m = gens.shape[1]
-    verts = np.empty((2 * m, 2))
-    v = z.center - gens.sum(axis=1)
-    verts[0] = v
-    for j in range(m):
-        v = v + 2.0 * gens[:, j]
-        verts[j + 1] = v
-    # Remaining vertices by central symmetry about the center.
-    for j in range(1, m):
-        verts[m + j] = 2.0 * z.center - verts[j]
-    if m == 1:
-        return verts[:2]
-    return verts
+    # The boundary walk from c - sum_j g_j (cumsum adds in order), then
+    # the remaining vertices by central symmetry about the center.
+    walk = np.cumsum(np.vstack([z.center - gens.sum(axis=1), 2.0 * gens.T]),
+                     axis=0)
+    return np.vstack([walk, 2.0 * z.center - walk[1:m]])

@@ -32,7 +32,7 @@ TOP_LEVEL = {
     "sample_in_zonotope", "simulate", "trajectory_from_csv",
     "trajectory_to_csv",
     # metrics
-    "RunSummary", "SimRecord", "StepSummary", "build_records", "hausdorff_2d",
+    "Records", "RunSummary", "StepSummary", "build_records", "hausdorff_2d",
     "summarize",
     # bench
     "bench_observer_updates", "time_op",

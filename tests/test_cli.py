@@ -74,6 +74,21 @@ class TestConfig:
                     + QUICK) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [
+        {"diffusion": "off"}, {"timing": "no"}, {"diffusion": 0},
+        {"seed": True}, {"seed": 1.5}, {"q": 20.5}, {"steps": "10"},
+        {"neighbors": 4.0}, {"snapshot_every": None}, {"burn_in": False},
+        {"process_noise": True}, {"measurement_noise": "8"},
+        {"algorithm": None}, {"out_dir": 3}, {"topology_file": 1}],
+        ids=lambda v: "-".join(f"{k}={v[k]!r}" for k in v))
+    def test_config_value_types_checked(self, tmp_path, monkeypatch, values):
+        # No --out flag, so a config-file out_dir is not overridden.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ZONODIFF_OUTDIR", str(tmp_path / "out"))
+        (tmp_path / "cfg.json").write_text(json.dumps({"steps": 10, **values}))
+        assert main(["run", "--config", "cfg.json"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
             RunConfig(algorithm="bogus").validate()
@@ -109,13 +124,15 @@ class TestCmdRun:
         cfg = load_config(None, {"steps": 25, "seed": 3, "neighbors": 4})
         records, _, _, _ = execute_run(cfg)
         rows = read_csv(tmp_path / "records.csv")[1:]
-        for row, rec in zip(rows, records):
-            assert int(row[0]) == rec.step
-            assert int(row[1]) == rec.node_id
-            assert float(row[5]) == rec.radius
-            assert float(row[6]) == rec.center_error
-            assert float(row[7]) == rec.lower[0]
-            assert float(row[10]) == rec.upper[1]
+        assert len(rows) == records.radius.size
+        for j, row in enumerate(rows):
+            step, node = divmod(j, 8)
+            assert int(row[0]) == step
+            assert int(row[1]) == node
+            assert float(row[5]) == records.radius[step, node]
+            assert float(row[6]) == records.center_error[step, node]
+            assert float(row[7]) == records.lower[step, node, 0]
+            assert float(row[10]) == records.upper[step, node, 1]
 
     def test_snapshot_cadence(self, tmp_path):
         assert main(["run", "--alg", "sm", "--neighbors", "2", "--out",
@@ -123,6 +140,14 @@ class TestCmdRun:
         data = json.loads((tmp_path / "snapshots.json").read_text())
         assert [s["step"] for s in data["snapshots"]] == [0, 10, 20]
         assert len(data["snapshots"][0]["nodes"]) == 8
+
+    def test_burn_in_must_leave_steps(self, tmp_path, capsys, monkeypatch):
+        # Rejected before any work: the observers never run.
+        monkeypatch.setattr("zonodiff.cli.run_simulation", None)
+        out = tmp_path / "out"
+        assert main(["run", "--steps", "5", "--out", str(out)]) == 1
+        assert "burn-in" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["run", "--steps", "0", "--out", str(tmp_path)]) == 1
@@ -251,6 +276,18 @@ class TestCmdReplay:
                      str(out)]) == 1
         assert "cannot load trajectory" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_replay_burn_in_must_leave_steps(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["run", "--steps", "3", "--burn-in", "0", "--out",
+                     str(first)]) == 0
+        out = tmp_path / "out"
+        assert main(["replay", "--trajectory", str(first / "trajectory.csv"),
+                     "--out", str(out)]) == 1
+        assert "burn-in" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["replay", "--trajectory", str(first / "trajectory.csv"),
+                     "--burn-in", "2", "--out", str(out)]) == 0
 
     def test_containment_violation_exit_code(self, tmp_path):
         # Replaying data generated under wide noise bounds with a config

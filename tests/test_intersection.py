@@ -11,7 +11,7 @@ from zonodiff import (
     intersect_zonotopes,
     optimal_diffusion_weights,
 )
-from zonodiff.intersection import frobenius_optimal_gain
+from zonodiff.intersection import diffusion_weights, frobenius_optimal_gain
 from conftest import certified_member, random_zonotope, sample_members
 
 
@@ -303,6 +303,19 @@ class TestOptimalDiffusionWeights:
         assert optimal_diffusion_weights([tiny, wide]).tolist() == [1.0, 0.0]
         assert optimal_diffusion_weights(
             [wide, tiny, point]).tolist() == [0.0, 0.5, 0.5]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_of_inverses(self):
+        # Each 1/beta of the first row is finite but their sum overflows:
+        # that row is rescaled, and the second row, whose sum is finite,
+        # keeps the plain formula bit for bit.
+        beta = np.array([[1e-308] * 6, [1.0, 3.0, 7.0, 2.0, 5.0, 11.0]])
+        w = diffusion_weights(beta)
+        assert w[0].tolist() == [1.0 / 6.0] * 6
+        inv = 1.0 / beta[1]
+        assert np.array_equal(w[1], inv / inv.sum())
+        mixed = diffusion_weights(np.array([1e-308, 1e-308, 2e-308]))
+        assert np.allclose(mixed, [0.4, 0.4, 0.2], rtol=1e-15, atol=0)
 
     def test_beats_random_simplex_weights(self, rng):
         zs = [random_zonotope(rng, 2, int(rng.integers(1, 5)))

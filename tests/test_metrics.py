@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from itertools import combinations
+
 from zonodiff import (
     ObserverConfig,
-    SimRecord,
+    Records,
     SimulationResult,
+    SystemModel,
+    Topology,
     Trajectory,
     Zonotope,
     bench_observer_updates,
@@ -13,6 +17,7 @@ from zonodiff import (
     hausdorff_2d,
     interval_hull,
     paper_scenario,
+    ring_topology,
     run_simulation,
     simulate,
     summarize,
@@ -21,6 +26,21 @@ from zonodiff import (
 )
 from zonodiff.metrics import half_diagonal
 from conftest import random_zonotope
+
+
+def make_records(radius, center_error, lower, upper):
+    """Records from hand-written ``(steps, nodes)`` and ``(steps, nodes, n)``
+    values, with zero step times."""
+    radius = np.asarray(radius, dtype=float)
+    return Records(radius, np.asarray(center_error, dtype=float),
+                   np.asarray(lower, dtype=float),
+                   np.asarray(upper, dtype=float), np.zeros_like(radius))
+
+
+def constant_records(steps, nodes, radius, center_error):
+    return make_records(np.full((steps, nodes), radius),
+                        np.full((steps, nodes), center_error),
+                        np.zeros((steps, nodes, 2)), np.ones((steps, nodes, 2)))
 
 
 def brute_force_hausdorff(va, vb):
@@ -46,8 +66,9 @@ class TestRadius:
         # The records carry the F-radius.
         z = random_zonotope(rng, 2, 7)
         traj = Trajectory(np.zeros((2, 2)), np.zeros((1, 1)))
-        [rec] = build_records(SimulationResult([[z]], [[0.0]]), traj)
-        assert rec.radius == f_radius(z)
+        records = build_records(SimulationResult([[z]], [[0.0]]), traj)
+        assert records.radius.shape == (1, 1)
+        assert records.radius[0, 0] == f_radius(z)
 
     def test_half_diagonal(self):
         z = Zonotope([0.0, 0.0], np.diag([3.0, 4.0]))
@@ -96,77 +117,143 @@ class TestRecordsAndSummaries:
     def test_record_fields(self):
         res, traj = self.make_run()
         records = build_records(res, traj)
-        assert len(records) == 20 * 8
-        for rec in records[:20]:
-            assert rec.radius >= 0.0
-            assert rec.center_error >= 0.0
-            assert np.all(rec.lower <= rec.upper)
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            SimRecord(0, 0, -1.0, 0.0, np.zeros(2), np.ones(2), 0.0)
-        with pytest.raises(ValueError):
-            SimRecord(0, 0, 1.0, 0.0, np.ones(2), np.zeros(2), 0.0)
+        assert records.radius.shape == records.center_error.shape == (20, 8)
+        assert records.lower.shape == records.upper.shape == (20, 8, 2)
+        assert records.step_time_us.shape == (20, 8)
+        assert np.all(records.radius >= 0.0)
+        assert np.all(records.center_error >= 0.0)
+        assert np.all(records.lower <= records.upper)
 
     def test_summarize_constant_records_zero_std(self):
-        records = [SimRecord(s, n, 2.0, 1.0, np.zeros(2), np.ones(2), 0.0)
-                   for s in range(8) for n in range(3)]
-        steps, run = summarize(records, burn_in=2)
-        assert all(s.radius_std == 0.0 for s in steps)
+        steps, run = summarize(constant_records(8, 3, 2.0, 1.0), burn_in=2)
+        assert np.all(steps.radius_std == 0.0)
         assert run.radius_mean == 2.0 and run.radius_std == 0.0
         assert run.hausdorff_mean is None
 
     def test_two_record_hand_stats(self):
         # Textbook population mean/std of {1, 3}: mean 2, std 1.
-        records = [SimRecord(0, 0, 1.0, 1.0, np.zeros(2), np.ones(2), 0.0),
-                   SimRecord(0, 1, 3.0, 3.0, np.zeros(2), np.ones(2), 0.0)]
+        records = make_records([[1.0, 3.0]], [[1.0, 3.0]], np.zeros((1, 2, 2)),
+                               np.ones((1, 2, 2)))
         steps, run = summarize(records, burn_in=0)
-        assert steps[0].radius_mean == 2.0
-        assert steps[0].radius_std == 1.0
+        assert steps.radius_mean[0] == 2.0
+        assert steps.radius_std[0] == 1.0
         assert run.center_error_mean == 2.0
 
     def test_half_diagonal_hand_stats(self):
         # Boxes with half diagonals 1 and 3: mean 2, std 1; the burn-in step
         # (half diagonal 5) is left out.
-        records = [SimRecord(s, 0, 1.0, 1.0, np.zeros(2), np.array(up), 0.0)
-                   for s, up in [(0, [6.0, 8.0]), (1, [2.0, 0.0]),
-                                 (2, [0.0, 6.0])]]
+        upper = [[[6.0, 8.0]], [[2.0, 0.0]], [[0.0, 6.0]]]
+        records = make_records(np.ones((3, 1)), np.ones((3, 1)),
+                               np.zeros((3, 1, 2)), upper)
         _, run = summarize(records, burn_in=1)
         assert run.half_diagonal_mean == 2.0
         assert run.half_diagonal_std == 1.0
 
     def test_single_node_hausdorff_undefined(self):
-        records = [SimRecord(s, 0, 1.0, 1.0, np.zeros(2), np.ones(2), 0.0)
-                   for s in range(6)]
         estimates = [[Zonotope([0.0, 0.0], np.eye(2))] for _ in range(6)]
-        steps, run = summarize(records, estimates, burn_in=0)
-        assert all(s.hausdorff_mean is None for s in steps)
+        steps, run = summarize(constant_records(6, 1, 1.0, 1.0), estimates,
+                               burn_in=0)
+        assert steps.hausdorff_mean is None and steps.hausdorff_std is None
         assert run.hausdorff_mean is None
 
     def test_summarize_with_estimates(self):
         res, traj = self.make_run()
         records = build_records(res, traj)
         steps, run = summarize(records, res.estimates, burn_in=5)
-        assert len(steps) == 20
+        assert steps.radius_mean.shape == steps.hausdorff_mean.shape == (20,)
         assert run.hausdorff_mean is not None and run.hausdorff_mean >= 0.0
         assert run.burn_in == 5
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summarize(constant_records(0, 3, 1.0, 1.0))
+
+    def test_burn_in_covering_every_step_rejected(self):
+        with pytest.raises(ValueError, match="burn-in"):
+            summarize(constant_records(5, 3, 1.0, 1.0), burn_in=5)
 
     def test_node_permutation_invariance(self):
         res, traj = self.make_run()
         records = build_records(res, traj)
         _, run = summarize(records, res.estimates, burn_in=5)
         perm = np.random.default_rng(0).permutation(8)
-        shuffled = [SimRecord(r.step, int(perm[r.node_id]), r.radius,
-                              r.center_error, r.lower, r.upper, r.step_time_us)
-                    for r in records]
-        est_perm = [[row[j] for j in np.argsort(perm)] for row in res.estimates]
+        inverse = np.argsort(perm)  # column perm[i] holds node i
+        shuffled = Records(records.radius[:, inverse],
+                           records.center_error[:, inverse],
+                           records.lower[:, inverse], records.upper[:, inverse],
+                           records.step_time_us[:, inverse])
+        est_perm = [[row[j] for j in inverse] for row in res.estimates]
         _, run2 = summarize(shuffled, est_perm, burn_in=5)
         assert run2.radius_mean == pytest.approx(run.radius_mean)
         assert run2.hausdorff_mean == pytest.approx(run.hausdorff_mean)
+
+
+IRREGULAR = ((0, 1, 2, 3), (1, 0), (2, 0, 3), (3, 0, 2, 4), (4, 3, 5),
+             (5, 4, 6, 7), (6, 5), (7, 5))
+
+
+def irregular_2d_run():
+    # Neighborhoods of 2 to 4 nodes and q = 40 keep the nodes' generator
+    # counts apart for several steps.
+    model, _ = paper_scenario()
+    return model, Topology(8, IRREGULAR), 40
+
+
+def ring_4d_run():
+    # Constant-velocity target: the nodes measure the two position axes.
+    rows = (np.eye(4)[0], np.eye(4)[1])
+    model = SystemModel(
+        f_matrix=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                  [0.0, 0.0, 0.98, 0.0], [0.0, 0.0, 0.0, 0.98]],
+        q_generators=np.diag([0.5, 0.5, 0.3, 0.3]),
+        schedule=lambda node, step: (rows[(node + step) % 2], 8.0),
+        initial_set=Zonotope(np.zeros(4), np.diag([80.0, 80.0, 10.0, 10.0])),
+        true_initial_state=[5.0, -3.0, 1.0, 0.5], n_nodes=8)
+    return model, ring_topology(8, 4), 20
+
+
+@pytest.mark.parametrize("kind", ["sm", "iv"])
+@pytest.mark.parametrize("case", [irregular_2d_run, ring_4d_run],
+                         ids=["irregular-2d", "ring-4d"])
+def test_records_and_steps_match_per_estimate_metrics(case, kind):
+    model, topology, q = case()
+    traj = simulate(model, 12, seed=4)
+    res = run_simulation(model, topology,
+                         ObserverConfig(kind=kind, q=q, diffusion_enabled=True),
+                         traj)
+    ests = res.estimates
+    records = build_records(res, traj)
+    hulls = [[interval_hull(z) for z in row] for row in ests]
+    assert np.array_equal(records.radius,
+                          [[f_radius(z) for z in row] for row in ests])
+    assert np.array_equal(records.center_error,
+                          [[np.linalg.norm(z.center - traj.states[k])
+                            for z in row] for k, row in enumerate(ests)])
+    assert np.array_equal(records.lower, [[lo for lo, _ in row] for row in hulls])
+    assert np.array_equal(records.upper, [[up for _, up in row] for row in hulls])
+    assert np.array_equal(records.step_time_us, res.times_us)
+    if model.f_matrix.shape[0] == 2:
+        counts = {z.n_generators for row in ests[1:4] for z in row}
+        assert len(counts) > 1  # the case does mix generator counts
+
+    steps, run = summarize(records, ests, burn_in=2)
+    for name in ("radius", "center_error"):
+        values = getattr(records, name)
+        assert np.array_equal(getattr(steps, f"{name}_mean"),
+                              [np.mean(row) for row in values])
+        assert np.array_equal(getattr(steps, f"{name}_std"),
+                              [np.std(row) for row in values])
+    if model.f_matrix.shape[0] == 2:
+        pairs = [[hausdorff_2d(a, b) for a, b in combinations(row, 2)]
+                 for row in ests]
+        assert np.array_equal(steps.hausdorff_mean, [np.mean(p) for p in pairs])
+        assert np.array_equal(steps.hausdorff_std, [np.std(p) for p in pairs])
+        assert run.hausdorff_mean == np.mean(pairs[2:])
+    else:
+        assert steps.hausdorff_mean is None and steps.hausdorff_std is None
+        assert run.hausdorff_mean is None and run.hausdorff_std is None
+    assert run.radius_mean == np.mean(records.radius[2:])
+    assert run.center_error_std == np.std(records.center_error[2:])
 
 
 class TestTiming:

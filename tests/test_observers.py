@@ -115,6 +115,17 @@ class TestSmDiffusionUpdate:
         assert np.array_equal(out.center, tiny.center)
         assert f_radius(out) == f_radius(tiny)
 
+    def test_overflowing_weight_sum_stays_finite(self):
+        # beta = 2e-308 per member: every 1/beta is finite but the six of
+        # them sum past the largest double. The weights stay uniform.
+        centers = np.arange(12.0).reshape(6, 2)
+        gens = 1e-154 * np.eye(2)
+        out = sm_diffusion_update([Zonotope(c, gens) for c in centers], 20)
+        assert np.allclose(out.center, centers.mean(axis=0), rtol=1e-15,
+                           atol=0)
+        assert np.allclose(out.generators, np.hstack([gens / 6.0] * 6),
+                           rtol=1e-15, atol=0)
+
     def test_matches_public_primitives(self, rng):
         # The diffusion kernel must stay in step with the public weight and
         # combination functions, point sets and mixed widths included.
