@@ -9,7 +9,8 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .zonotope import Zonotope, f_radius, interval_hull, vertices_2d
+from .zonotope import (Zonotope, _vertices_stack, f_radius, interval_hull,
+                       vertices_2d)
 
 __all__ = [
     "half_diagonal",
@@ -88,6 +89,8 @@ class RunSummary:
 def build_records(result, trajectory) -> Records:
     """Metrics of a :class:`~zonodiff.network.SimulationResult` as arrays."""
     rows = result.estimates
+    if not rows:
+        raise ValueError("no records to summarize")
     hulls = np.array([[interval_hull(est) for est in row] for row in rows])
     return Records(
         radius=np.array([[f_radius(est) for est in row] for row in rows]),
@@ -120,11 +123,14 @@ def summarize(records: Records, estimates=None, burn_in: int = 5):
     hausdorff = None
     if (estimates is not None and len(estimates[0]) >= 2
             and estimates[0][0].dim == 2):
-        # Each zonotope's vertices are enumerated once per step.
+        # The vertices of every node-step in one stacked pass, then one
+        # distance matrix per node pair per step.
+        nodes = len(estimates[0])
+        verts = _vertices_stack([z for row in estimates for z in row])
+        pairs = list(combinations(range(nodes), 2))
         hausdorff = np.array([
-            [_vertex_hausdorff(a, b)
-             for a, b in combinations([vertices_2d(z) for z in row], 2)]
-            for row in estimates])
+            [_vertex_hausdorff(verts[s + a], verts[s + b]) for a, b in pairs]
+            for s in range(0, len(verts), nodes)])
 
     steps = StepSummary(
         records.radius.mean(axis=1), records.radius.std(axis=1),

@@ -314,43 +314,161 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     return _contains_lp(gens, d, tol)
 
 
+# The stacked collinear merge decides a whole set at once when every test
+# between angle-sorted neighbors is clearly on one side of the sequential
+# rule (merge when a . b > 0 and the relative cross |a x b| / (|a| |b|) is
+# at most 1e-14). A pair splits at a relative cross of at least
+# _SPLIT_CROSS or at a nonpositive dot product. A merge group holds at most
+# _JOIN_RUN + 1 generators whose relative crosses sum to at most _JOIN_SPAN.
+# A group's running sum lies in the group's angular span, so the sequential
+# test of the next generator against it decides the same way: rounding in
+# the screen and in the running sum moves the span by at most about
+# 16 * 3.3e-16, inside the factor-4 margins. Norms in _SCREEN_NORMS keep
+# every product of the screen normal. Other sets take the sequential merge.
+_SPLIT_CROSS = 4e-14
+_JOIN_SPAN = 1e-14 / 4
+_JOIN_RUN = 16
+_SCREEN_NORMS = (2.0 ** -400, 2.0 ** 400)
+
+
 def _merge_collinear(gens: np.ndarray) -> np.ndarray:
-    # Flip generators into the upper half-plane, sort by angle, merge
-    # (numerically) parallel neighbors so the boundary walk emits no
-    # duplicate vertices.
-    flip = (gens[1] < 0) | ((gens[1] == 0) & (gens[0] < 0))
-    gens = gens * np.where(flip, -1.0, 1.0)
-    angles = np.arctan2(gens[1], gens[0])
-    order = np.argsort(angles, kind="stable")
-    gens = gens[:, order]
+    # Merge each angle-sorted generator into the running sum before it when
+    # the two point the same way and are parallel to 1e-14 relative, so the
+    # boundary walk emits no duplicate vertices.
     merged = [gens[:, 0].copy()]
     for j in range(1, gens.shape[1]):
         g = gens[:, j]
         last = merged[-1]
         cross = last[0] * g[1] - last[1] * g[0]
-        if abs(cross) <= 1e-14 * np.linalg.norm(last) * np.linalg.norm(g):
+        if (last[0] * g[0] + last[1] * g[1] > 0 and abs(cross)
+                <= 1e-14 * np.linalg.norm(last) * np.linalg.norm(g)):
             merged[-1] = last + g
         else:
             merged.append(g.copy())
     return np.column_stack(merged)
 
 
+def _merge_screen(gens: np.ndarray):
+    """The collinear merge of a stack ``(B, 2, e)`` of angle-sorted
+    generator matrices, one vectorized add per column.
+
+    Returns ``(sums, join, certain)``: ``join[:, j]`` merges generator ``j``
+    into the group before it, ``sums[:, :, j]`` is the group's sum through
+    ``j``, added left to right as in :func:`_merge_collinear`, and
+    ``certain`` marks the sets whose every decision is certified to match it.
+    """
+    x, y = gens[:, 0], gens[:, 1]
+    with np.errstate(all="ignore"):  # NaN tests certify nothing
+        norm = np.sqrt(x * x + y * y)
+        cross = (np.abs(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:])
+                 / (norm[:, :-1] * norm[:, 1:]))
+    split = (x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] <= 0) | (
+        cross >= _SPLIT_CROSS)
+    low, high = _SCREEN_NORMS
+    certain = ((norm >= low) & (norm <= high)).all(axis=1)
+    join = np.zeros(norm.shape, dtype=bool)
+    sums = gens.copy()
+    span = np.zeros(len(gens))
+    run = np.zeros(len(gens), dtype=int)
+    # Only columns that may merge in some set need a step; every group
+    # starts afresh after a column that splits in all sets.
+    steps = np.flatnonzero(~split.all(axis=0)) + 1
+    for j in steps:
+        if not join[:, j - 1].any():
+            span[:] = 0.0
+            run[:] = 0
+        span += cross[:, j - 1]
+        run += 1
+        merge = ~split[:, j - 1] & (span <= _JOIN_SPAN) & (run <= _JOIN_RUN)
+        certain &= merge | split[:, j - 1]
+        span[~merge] = 0.0
+        run[~merge] = 0
+        join[:, j] = merge
+        sums[:, :, j] = np.where(merge[:, None],
+                                 sums[:, :, j - 1] + gens[:, :, j],
+                                 gens[:, :, j])
+    return sums, join, certain
+
+
+def _walk(centers: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    # Vertices (B, 2m, 2) of zonogons with centers (B, 2) and merged,
+    # angle-sorted generators (B, 2, m): the boundary walk from
+    # c - sum_j g_j (cumsum adds in order), then the remaining vertices by
+    # central symmetry about the center.
+    m = gens.shape[2]
+    start = centers - gens.sum(axis=2)
+    walk = np.cumsum(np.concatenate(
+        [start[:, None], 2.0 * gens.transpose(0, 2, 1)], axis=1), axis=1)
+    return np.concatenate([walk, 2.0 * centers[:, None] - walk[:, 1:m]],
+                          axis=1)
+
+
+def _zonogons(centers: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    # Vertices of the zonogons with centers (B, 2) and nonzero generator
+    # columns (B, e, 2), one (V, 2) array per set.
+    if cols.shape[1] == 0:
+        return list(centers[:, None])
+    gens = np.ascontiguousarray(cols.transpose(0, 2, 1))
+    flip = (gens[:, 1] < 0) | ((gens[:, 1] == 0) & (gens[:, 0] < 0))
+    gens = gens * np.where(flip, -1.0, 1.0)[:, None]
+    order = np.argsort(np.arctan2(gens[:, 1], gens[:, 0]), axis=1,
+                       kind="stable")
+    gens = np.take_along_axis(gens, order[:, None], axis=2)
+    sums, join, certain = _merge_screen(gens)
+    # The last column of each merge group holds the group's sum.
+    ends = np.ones_like(join)
+    ends[:, :-1] = ~join[:, 1:]
+    widths = ends.sum(axis=1)
+    out = [None] * len(gens)
+    for m in np.unique(widths[certain]):
+        rows = np.flatnonzero(certain & (widths == m))
+        merged = sums.transpose(0, 2, 1)[rows][ends[rows]].reshape(-1, m, 2)
+        verts = _walk(centers[rows],
+                      np.ascontiguousarray(merged.transpose(0, 2, 1)))
+        for r, v in zip(rows, verts):
+            out[r] = v
+    for r in np.flatnonzero(~certain):
+        out[r] = _walk(centers[r:r + 1], _merge_collinear(gens[r])[None])[0]
+    return out
+
+
+def _vertices_stack(zs) -> list[np.ndarray]:
+    """:func:`vertices_2d` of every zonotope of the sequence ``zs``.
+
+    The sets are stacked by their counts of generators and of nonzero
+    generators, and each stack is flipped into the upper half-plane, sorted
+    by angle, merged and walked as a whole. A set whose merge the screen
+    cannot certify is merged by the sequential :func:`_merge_collinear`.
+    """
+    out = [None] * len(zs)
+    by_width = {}
+    for i, z in enumerate(zs):
+        n, e = z.generators.shape
+        if n != 2:
+            raise ValueError(
+                f"vertex enumeration requires dimension 2, got {n}")
+        by_width.setdefault(e, []).append(i)
+    for e, index in by_width.items():
+        index = np.array(index)
+        centers = np.array([zs[i].center for i in index])
+        cols = np.array([zs[i].generators.T for i in index]).reshape(
+            len(index), e, 2)
+        nonzero = (cols != 0.0).any(axis=2)
+        counts = nonzero.sum(axis=1)
+        for count in np.unique(counts):
+            rows = np.flatnonzero(counts == count)
+            kept = cols[rows][nonzero[rows]].reshape(len(rows), count, 2)
+            for i, v in zip(index[rows], _zonogons(centers[rows], kept)):
+                out[i] = v
+    return out
+
+
 def vertices_2d(z: Zonotope) -> np.ndarray:
     """Counter-clockwise vertices of a 2-D zonotope (zonogon).
 
-    Returns an array of shape ``(V, 2)``. Collinear generators are merged
-    before the angular boundary walk; rank-1 inputs give the 2 endpoints of
-    the degenerate segment, a point set gives a single vertex.
+    Returns an array of shape ``(V, 2)``. Parallel generators that point
+    the same way after the flip into the upper half-plane are merged before
+    the angular boundary walk; rank-1 inputs give the 2 endpoints of the
+    degenerate segment, a point set gives a single vertex.
     """
-    if z.dim != 2:
-        raise ValueError(f"vertex enumeration requires dimension 2, got {z.dim}")
-    gens = z.generators[:, np.any(z.generators != 0.0, axis=0)]
-    if gens.shape[1] == 0:
-        return z.center.reshape(1, 2).copy()
-    gens = _merge_collinear(gens)
-    m = gens.shape[1]
-    # The boundary walk from c - sum_j g_j (cumsum adds in order), then
-    # the remaining vertices by central symmetry about the center.
-    walk = np.cumsum(np.vstack([z.center - gens.sum(axis=1), 2.0 * gens.T]),
-                     axis=0)
-    return np.vstack([walk, 2.0 * z.center - walk[1:m]])
+    return _vertices_stack([z])[0]

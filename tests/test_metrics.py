@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from collections import Counter
 from itertools import combinations
 
 from zonodiff import (
@@ -24,6 +25,7 @@ from zonodiff import (
     time_op,
     vertices_2d,
 )
+from zonodiff import metrics
 from zonodiff.metrics import half_diagonal
 from conftest import random_zonotope
 
@@ -163,6 +165,30 @@ class TestRecordsAndSummaries:
         assert steps.radius_mean.shape == steps.hausdorff_mean.shape == (20,)
         assert run.hausdorff_mean is not None and run.hausdorff_mean >= 0.0
         assert run.burn_in == 5
+
+    def test_build_records_rejects_empty_result(self):
+        traj = Trajectory(np.zeros((1, 2)), np.zeros((0, 1)))
+        with pytest.raises(ValueError, match="no records to summarize"):
+            build_records(SimulationResult([], []), traj)
+
+    def test_summarize_enumerates_vertices_in_one_pass(self, monkeypatch):
+        # One stacked vertex pass over all node-steps, no per-set call, and
+        # one distance matrix per node pair per step.
+        res, traj = self.make_run(steps=40)
+        records = build_records(res, traj)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_vertices_stack", "vertices_2d", "cdist"):
+            monkeypatch.setattr(metrics, name,
+                                counted(name, getattr(metrics, name)))
+        summarize(records, res.estimates, burn_in=5)
+        assert calls == {"_vertices_stack": 1, "cdist": 40 * 28}
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
