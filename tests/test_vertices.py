@@ -198,6 +198,19 @@ def test_near_anti_parallel_generators_not_merged(gens, x_range):
     assert_hull(z, verts)
 
 
+@pytest.mark.parametrize("gens, count", [
+    ([[1e160, 1e100], [1e100, 1e160]], 4),  # a parallelogram
+    ([[1e160, 2e160], [1e100, 2e100]], 2),  # parallel: a segment
+])
+def test_huge_generators_merge_only_when_parallel(gens, count):
+    # Above norms of about 1e154 the products of the merge test overflow;
+    # the test is then made on the unit vectors.
+    z = Zonotope([0.0, 0.0], gens)
+    verts = vertices_2d(z)
+    assert len(verts) == count
+    assert_hull(z, verts)
+
+
 def test_stack_rejects_non_2d():
     with pytest.raises(ValueError, match="dimension 2"):
         zonotope._vertices_stack([Zonotope.point([0.0, 0.0]),

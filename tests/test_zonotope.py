@@ -51,6 +51,33 @@ def off_range_direction(z):
     return np.linalg.svd(z.generators)[0][:, -1]
 
 
+def conditioned_generators(rng, n, e, kappa, scale):
+    """``n x e`` generators with largest singular value ``scale`` and
+    condition number ``kappa``, in random directions."""
+    u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(e, n)))[0]
+    return scale * (u * np.logspace(0, -np.log10(kappa), n)) @ v.T
+
+
+def face_offset(rng, gens):
+    """Offset ``G b`` of a point on a random face, of dimension 0 to
+    ``n - 1``, of the full-rank ``<0, G>``: its gauge is exactly 1."""
+    n, e = gens.shape
+    k = int(rng.integers(0, n))
+    free = rng.choice(e, k, replace=False)
+    across = np.linalg.qr(gens[:, free], mode="complete")[0][:, k:]
+    b = np.sign((across @ rng.normal(size=n - k)) @ gens)
+    b[free] = rng.uniform(-1.0, 1.0, k)
+    return gens @ b
+
+
+# Gauges of the points in the screen's soundness test. 1 - 1e-14 and
+# 1 - 1e-13 lie inside the margin mu of well-conditioned sets, where only a
+# screen without mu would certify.
+SCREEN_GAUGES = (1 - 1e-14, 1 - 1e-13, 1 - 1e-12, 1 - 1e-9, 1.0, 1 + 1e-9,
+                 1 + 1e-6)
+
+
 class TestConstruction:
     def test_point_set(self):
         z = Zonotope([1.0, 2.0], [])
@@ -375,7 +402,96 @@ class TestContainsPoint:
         for p in sample_members(rng, many, 2):
             assert contains_point(many, p, 1e-9)
         assert not contains_point(many, interval_hull(many)[1] + 0.5, 1e-9)
-        assert len(lp_calls) == checks + 3
+        # The two members are certified by the least-norm screen first; only
+        # the outside point reaches the LP.
+        assert len(lp_calls) == checks + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_point(self, rng, bad):
+        sets = [
+            Zonotope.point([1.0, 2.0]),
+            Zonotope([0.0], [[1.0]]),
+            random_zonotope(rng, 2, 6),  # 2-D facet test
+            Zonotope([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]),  # zero normals
+            random_zonotope(rng, 4, 20),  # screen, then facet test
+            random_zonotope(rng, 3, 2),  # e < n: LP
+            random_zonotope(rng, 3, 64),  # 2 016 subsets: screen, then LP
+        ]
+        for z in sets:
+            x = z.center.copy()
+            x[-1] = bad
+            with pytest.raises(ValueError, match="only finite values"):
+                contains_point(z, x)
+
+    def test_screen_certifies_only_exact_members(self, rng, monkeypatch):
+        # A certified point has b with G b = d and ||b||_inf <= 1 - mu. So
+        # the exact test (the facet test, with the screen switched off)
+        # accepts it at every tol, and accepts it pushed out by mu / 4 at
+        # tol 0. Dropping mu or the residual term rho / s_lo from the
+        # screen fails this test.
+        eps = np.finfo(float).eps
+        screen = zonotope._certified_member
+        monkeypatch.setattr(zonotope, "_certified_member",
+                            lambda *args: False)
+        certified = 0
+        for n in (3, 4, 5):
+            for e in (n, n + 3, 13):
+                for kappa in (1.0, 10.0, 1e2, 1e4, 1e5, 1e6, 1e8, 1e11):
+                    for scale in (1e-3, 1.0, 1e6):
+                        gens = conditioned_generators(rng, n, e, kappa, scale)
+                        z = Zonotope(np.zeros(n), gens)
+                        sv = np.linalg.svd(gens, compute_uv=False)
+                        s_lo = sv[-1] - 64 * eps * sv[0]
+                        mu = 8 * (n + e) * e * eps * sv[0] / s_lo
+                        for _ in range(12):
+                            face = face_offset(rng, gens)
+                            for gauge in SCREEN_GAUGES:
+                                d = gauge * face
+                                if not screen(gens, d, sv):
+                                    continue
+                                certified += 1
+                                for tol in (0.0, 1e-9, 1e-7):
+                                    assert contains_point(z, d, tol)
+                                assert contains_point(z, d * (1 + mu / 4), 0.0)
+        assert certified > 100
+
+    def test_deep_points_skip_the_facet_test(self, rng, monkeypatch):
+        def no_facets(gens):
+            raise AssertionError("a certified point reached the facet test")
+
+        z = random_zonotope(rng, 4, 20)
+        monkeypatch.setattr(zonotope, "_facet_normals", no_facets)
+        for b in rng.uniform(-0.5, 0.5, (20, 20)):
+            assert contains_point(z, z.center + z.generators @ b, 0.0)
+
+    def test_uncertified_points_reach_the_facet_test(self, rng, monkeypatch):
+        calls = []
+        facet_normals = zonotope._facet_normals
+
+        def counted(gens):
+            calls.append(gens.shape)
+            return facet_normals(gens)
+
+        monkeypatch.setattr(zonotope, "_facet_normals", counted)
+        z = random_zonotope(rng, 4, 20)
+        assert not contains_point(z, interval_hull(z)[1] + 0.5, 1e-9)
+        assert contains_point(z, z.center + (1 - 1e-9) * facet_offset(rng, z),
+                              1e-9)
+        assert calls == [(4, 20), (4, 20)]
+
+    def test_two_d_never_enters_the_screen(self, rng, monkeypatch):
+        def no_screen(*args):
+            raise AssertionError("a 2-D set entered the screen")
+
+        monkeypatch.setattr(zonotope, "_certified_member", no_screen)
+        for e in (1, 2, 6, 20):
+            z = random_zonotope(rng, 2, e)
+            for p in sample_members(rng, z, 5):
+                assert contains_point(z, p, 1e-9)
+            assert not contains_point(z, interval_hull(z)[1] + 0.5, 1e-9)
+        flat = Zonotope([0.0, 0.0], [[1.0, 2.0], [1.0, 2.0]])
+        assert contains_point(flat, [0.5, 0.5], 1e-9)
+        assert not contains_point(flat, [0.5, -0.5], 1e-9)
 
 
 class TestVertices2D:
