@@ -15,6 +15,7 @@ Frobenius norm (F-radius) of the resulting generator matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ __all__ = [
 # pseudo-inverse (redundant strips / point priors make the normal matrix
 # effectively singular).
 _COND_LIMIT = 1e12
+# The certificate of the solve path bounds the condition number by
+# _CERT_LIMIT, a factor 10^4 below the limit for rounding, and asks for
+# normal r^2 (no subnormal or zero minimum).
+_CERT_LIMIT = _COND_LIMIT / 1e4
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,15 @@ class Strip:
     r: float
 
     def __post_init__(self):
+        # The checks run on Python floats, a third of the cost of numpy's
+        # on a short vector; one strip is built per node per step.
         h = np.asarray(self.h, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(h)) or not np.any(h != 0.0):
+        entries = h.tolist()
+        if not all(map(math.isfinite, entries)) or not any(entries):
             raise ValueError("strip direction h must be finite and nonzero")
         y = float(self.y)
         r = float(self.r)
-        if not np.isfinite(y) or not np.isfinite(r):
+        if not (math.isfinite(y) and math.isfinite(r)):
             raise ValueError("strip y and r must be finite")
         if r <= 0.0:
             raise ValueError("strip half-width r must be positive")
@@ -138,24 +147,61 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
     (redundant strips, point priors) takes a pseudo-inverse instead of the
     solve; the second return value flags it.
 
+    Most calls skip the eigenvalues of that test: the solve path is
+    certified when ``min(r^2)`` is a normal double and ``P + sum(r^2) <=
+    1e8 min(r^2)`` with ``P = ||Gamma||_F^2 ||G||_F^2``
+    (:func:`_solve_certified`). Why it is sound: ``Gamma G G' Gamma'`` is
+    positive semidefinite with norm at most ``P``, so the exact normal
+    matrix has ``lambda_min >= min(r^2)`` and ``lambda_max <= P +
+    max(r^2)``, a condition number of at most ``1e8``. Rounding moves the
+    computed normal matrix by at most about ``(e + 2n + 3) eps P``, and
+    its computed eigenvalues by a small multiple of ``eps`` times its
+    norm: both stay below ``1e-4 min(r^2)`` while ``e + 2n`` and ``m`` are
+    below a few thousand. With the factor 10^4 between ``1e8`` and the
+    limit, wherever the certificate holds the eigenvalue test picks the
+    solve too. ``P`` and
+    not the trace of the computed matrix: strips nearly orthogonal to a
+    huge prior cancel in ``Gamma G``, and the computed matrix can then be
+    indefinite with a small trace. A NaN or infinite bound and an ``r^2``
+    below the smallest normal double fail the certificate and take the
+    eigenvalue test.
+
     ``front`` defaults to the identity (the pure measurement update); the
     Luenberger update passes the state matrix.
     """
     gens = np.asarray(prior_generators, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    gamma_gg = gamma @ (gens @ gens.T)
-    normal = gamma_gg @ gamma.T + np.diag(np.asarray(r, dtype=float) ** 2)
+    gg = gens @ gens.T
+    gamma_gg = gamma @ gg
+    r_sq = np.asarray(r, dtype=float) ** 2
+    normal = gamma_gg @ gamma.T + np.diag(r_sq)
     rhs = gamma_gg  # transpose of the numerator
     if front is not None:
         rhs = gamma_gg @ np.asarray(front, dtype=float).T
+    if _solve_certified(gamma, gg, r_sq) or _well_conditioned(normal):
+        return np.linalg.solve(normal, rhs).T, False
+    return rhs.T @ np.linalg.pinv(normal), True
+
+
+def _solve_certified(gamma: np.ndarray, gg: np.ndarray,
+                     r_sq: np.ndarray) -> bool:
+    # ||Gamma||_F^2 trace(G G') + sum(r^2) <= 1e8 min(r^2), a sufficient
+    # condition for _well_conditioned (see frobenius_optimal_gain). Python
+    # floats: they overflow to inf without a warning, and NaN compares
+    # False.
+    squares = r_sq.tolist()
+    low = min(squares)
+    bound = float(np.vdot(gamma, gamma)) * sum(gg.diagonal().tolist())
+    return low >= _TINY and bound + sum(squares) <= _CERT_LIMIT * low
+
+
+def _well_conditioned(normal: np.ndarray) -> bool:
     # The normal matrix is symmetric positive semidefinite, so its singular
     # values are its eigenvalues, ascending. cond = ev[-1] / ev[0] <
     # _COND_LIMIT is tested without the division; a singular matrix (ev[0]
     # zero or rounded below it) fails it.
     ev = np.linalg.eigvalsh(normal)
-    if ev[0] * _COND_LIMIT > ev[-1]:
-        return np.linalg.solve(normal, rhs).T, False
-    return rhs.T @ np.linalg.pinv(normal), True
+    return bool(ev[0] * _COND_LIMIT > ev[-1])
 
 
 def squared_f_radius(gens: np.ndarray) -> np.ndarray:

@@ -134,14 +134,34 @@ def reduce(z: Zonotope, q: int) -> Zonotope:
     partial sum). If ``z`` already has at most ``q`` generators it is
     returned unchanged; zero generator columns are dropped only when a
     reduction actually happens.
+
+    The body is :func:`reduce_stack` for a stack of one, without the
+    stack's gathers, and gives its result bit for bit: the same sort keys,
+    and the box summed along the contiguous axis of a C-ordered gather, as
+    the stack sums it.
     """
     q = int(q)
-    if q < z.dim:
-        raise ValueError(f"q = {q} must be at least the dimension n = {z.dim}")
-    if z.n_generators <= q:
+    n, e = z.generators.shape
+    if q < n:
+        raise ValueError(f"q = {q} must be at least the dimension n = {n}")
+    if e <= q:
         return z
-    [(_, gens)] = reduce_stack(z.generators[None], q)
-    return stack_zonotopes(z.center[None], gens)[0]
+    gens = z.generators
+    absg = np.abs(gens)
+    col_max = absg.max(axis=0)
+    nonzero = col_max != 0.0
+    if np.count_nonzero(nonzero) <= q:
+        out = gens[:, nonzero]
+    else:
+        key = np.where(nonzero, col_max - absg.sum(axis=0), np.inf)
+        order = np.argsort(key, kind="stable")
+        box = np.abs(np.take(gens, order[q - n:], axis=1)).sum(axis=1)
+        out = np.concatenate([np.take(gens, order[:q - n], axis=1),
+                              np.diag(box)[:, box != 0.0]], axis=1)
+    # The kept columns are finite; a box sum can overflow.
+    _check_finite(out, "generators")
+    out.flags.writeable = False
+    return Zonotope._trusted(z.center, out)
 
 
 def reduce_stack(gens: np.ndarray, q: int) -> list:
@@ -315,6 +335,33 @@ def _certified_member(gens: np.ndarray, d: np.ndarray, sv: np.ndarray) -> bool:
     return bool(np.abs(b).max() + rho / s_lo <= 1.0 - mu)
 
 
+def _gram_full_rank(gens: np.ndarray) -> bool:
+    """Sufficient test that the ``2 x e`` matrix ``gens`` passes the rank
+    test ``s_min > 1e-12 s_max`` of its singular values.
+
+    With the Gram entries ``a = ||g_0||^2``, ``c = ||g_1||^2`` and ``b =
+    g_0 . g_1`` of the rows, ``ac - b^2 = s_max^2 s_min^2`` and ``a + c =
+    s_max^2 + s_min^2``, so ``(ac - b^2) / (a + c)^2 <= (s_min / s_max)^2``.
+    The answer is True iff the computed ``ac - b^2 > (1e-8 + 4 (e + 2)
+    eps) (a + c)^2``.
+
+    Why True is sound: each Gram entry is a sum of ``e`` products, so the
+    computed ``ac - b^2`` and ``(a + c)^2`` are off by at most about ``(e +
+    1) eps (a + c)^2``, which the ``4 (e + 2) eps`` term covers. The exact
+    ratio is then above ``1e-8``, so ``s_min > 1e-4 s_max``, and the
+    singular values that the SVD computes, each off by a few ``eps
+    s_max``, pass ``s_min > 1e-12 s_max`` too. The caller scales ``gens``
+    to ``max |G|`` in ``[1/2, 1)`` first, so no sum overflows and the
+    products that underflow change nothing at this margin. The test only
+    answers True: a near-rank-deficient set, where ``ac - b^2`` cancels,
+    is left to the SVD.
+    """
+    e = gens.shape[1]
+    (a, b), (_, c) = (gens @ gens.T).tolist()
+    s = a + c
+    return a * c - b * b > (1e-8 + 4 * (e + 2) * _EPS) * s * s
+
+
 def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     """Membership test: is there a ``b`` in ``[-1-tol, 1+tol]^e`` with ``c + G b = x``?
 
@@ -329,6 +376,23 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     minimizing ``||b||_inf`` subject to ``G b = x - c`` decides the rest:
     rank-deficient generator matrices, ``e < n``, and matrices with more
     than 2 000 generator subsets.
+
+    Before the rank test, ``G`` and ``d = x - c`` of a set with ``e >= n``
+    are scaled by one power of two to ``max |G|`` in ``[1/2, 1)``. The rank
+    test, the screens and the facet test are invariant under that scaling,
+    and it is exact, so no decision moves; it keeps their products of up to
+    ``n + 1`` entries clear of underflow and overflow at any scale. A point
+    whose scaled ``d`` reaches ``2^400`` is more than ``2^400 max |G|`` from
+    the center and is rejected before any product, as it must be unless
+    ``(1 + tol) e`` exceeds ``2^400``. The LP gets the unscaled ``G`` and
+    ``d``: its absolute feasibility tolerance is not scale-invariant, and
+    scaling moved some of its decisions near the boundary.
+
+    In 2-D the rank test first tries the Gram screen
+    (:func:`_gram_full_rank`): three sums and a comparison that certify
+    ``s_min > 1e-4 s_max`` for all but near-rank-deficient sets, where the
+    SVD is skipped. The screen only answers True, and the facet test after
+    it is unchanged, so no decision moves.
 
     For ``n >= 3``, a full-rank set first tries to certify ``x`` from its
     least-norm coefficients (:func:`_certified_member`): one ``n x n``
@@ -364,16 +428,21 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
         # A 1-D zonotope is exactly the interval of its hull.
         return bool(abs(d[0]) <= (1.0 + tol) * np.abs(gens).sum())
     if e >= n:
-        sv = np.linalg.svd(gens, compute_uv=False)
-        if sv[-1] > 1e-12 * sv[0]:
-            if n > 2 and _certified_member(gens, d, sv):
+        k = math.frexp(float(np.abs(gens).max()))[1]
+        if math.frexp(max(map(abs, d.tolist())))[1] - k > 400:
+            return False
+        unit_g, unit_d = np.ldexp(gens, -k), np.ldexp(d, -k)
+        sv = (None if n == 2 and _gram_full_rank(unit_g)
+              else np.linalg.svd(unit_g, compute_uv=False))
+        if sv is None or sv[-1] > 1e-12 * sv[0]:
+            if n > 2 and _certified_member(unit_g, unit_d, sv):
                 return True
             if n == 2 or math.comb(e, n - 1) <= _MAX_NORMALS:
                 # Support test over the facet normals.
-                normals = _facet_normals(gens)
-                lhs = np.abs(normals @ d)
-                rhs = np.abs(normals @ gens).sum(axis=1)
-                return bool(np.all(lhs <= (1.0 + tol) * rhs))
+                normals = _facet_normals(unit_g)
+                lhs = np.abs(normals @ unit_d)
+                rhs = np.abs(normals @ unit_g).sum(axis=1)
+                return bool((lhs <= (1.0 + tol) * rhs).all())
     return _contains_lp(gens, d, tol)
 
 

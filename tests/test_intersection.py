@@ -11,6 +11,7 @@ from zonodiff import (
     intersect_zonotopes,
     optimal_diffusion_weights,
 )
+from zonodiff import intersection
 from zonodiff.intersection import diffusion_weights, frobenius_optimal_gain
 from conftest import certified_member, random_zonotope, sample_members
 
@@ -55,6 +56,21 @@ class TestStrip:
         s = Strip([1.0, 0.0], 0.5, 0.1)
         assert s.contains([0.55, 3.0])
         assert not s.contains([0.7, 0.0])
+
+    @pytest.mark.parametrize("h, y, r", [
+        ([np.nan, 1.0], 0.0, 1.0), ([1.0, np.inf], 0.0, 1.0),
+        ([-0.0, 0.0], 0.0, 1.0), ([1.0, 0.0], np.nan, 1.0),
+        ([1.0, 0.0], -np.inf, 1.0), ([1.0, 0.0], 0.0, np.inf),
+        ([1.0, 0.0], 0.0, np.nan), ([1.0, 0.0], 0.0, -1.0),
+    ])
+    def test_rejects_non_finite_or_degenerate(self, h, y, r):
+        with pytest.raises(ValueError):
+            Strip(np.array(h), y, r)
+
+    def test_stores_frozen_floats(self):
+        s = Strip([1, 2], np.float64(0.5), 3)
+        assert s.h.dtype == float and not s.h.flags.writeable
+        assert type(s.y) is float and type(s.r) is float
 
 
 class TestDiffusionWeights:
@@ -179,6 +195,109 @@ class TestOptimalStripGain:
                 seq = intersect_strips(seq, [s], optimal_gain(seq, [s])[0])
             assert f_radius(joint) == pytest.approx(f_radius(seq), abs=1e-8,
                                                     rel=1e-8)
+
+
+def gain_inputs(gens, gamma, r):
+    """``(certified, well_conditioned)`` of the gain solve's two tests on
+    one normal matrix, formed as :func:`frobenius_optimal_gain` forms it."""
+    gg = gens @ gens.T
+    r_sq = np.asarray(r, dtype=float) ** 2
+    normal = gamma @ gg @ gamma.T + np.diag(r_sq)
+    return (intersection._solve_certified(gamma, gg, r_sq),
+            intersection._well_conditioned(normal))
+
+
+class TestGainCertificate:
+    """Wherever the certificate picks the solve, the eigenvalue test it
+    replaces picks it too."""
+
+    def test_sound_over_conditioning_range(self, rng):
+        certified = uncertified = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 8))
+            # Normal matrices with condition number about 1 to 1e14.
+            kappa = 10.0 ** rng.uniform(0.0, 14.0)
+            gens = rng.normal(size=(n, int(rng.integers(0, 21))))
+            gamma = rng.normal(size=(m, n))
+            scale = np.sqrt(kappa / max(1.0, np.vdot(gens, gens)))
+            r = rng.uniform(0.5, 1.0, m) * 10.0 ** rng.uniform(-3, 3)
+            cert, ok = gain_inputs(scale * r[0] * gens, gamma, r)
+            assert ok or not cert
+            certified += cert
+            uncertified += not cert
+        assert certified > 500 and uncertified > 500
+
+    def test_sound_on_degenerate_strips(self, rng):
+        cases = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(2, 8))
+            gens = rng.normal(size=(n, int(rng.integers(n, 21))))
+            base = rng.normal(size=n)
+            redundant = np.tile(base, (m, 1))
+            near = redundant + 10.0 ** rng.uniform(-14, -6) * rng.normal(
+                size=(m, n))
+            for gamma in (redundant, near):
+                for r_val in (1.0, 1e-3, 1e-8, 1e-150, 1e-155, 1e-160,
+                              1e-170):
+                    for g_scale in (0.0, 1e-3, 1.0, 1e6, 1e100, 1e150):
+                        cert, ok = gain_inputs(g_scale * gens, gamma,
+                                               np.full(m, r_val))
+                        assert ok or not cert
+                        cases += 1
+        assert cases > 10_000
+
+    def test_strips_orthogonal_to_a_huge_prior(self, rng):
+        # Gamma G cancels: the computed normal matrix is indefinite with a
+        # small trace, and only the eigenvalue test catches it. A trace
+        # certificate picked the solve in many of these cases.
+        uncertified_fallbacks = 0
+        for _ in range(2000):
+            e, m = int(rng.integers(2, 25)), int(rng.integers(2, 8))
+            u = rng.normal(size=2)
+            u /= np.linalg.norm(u)
+            s = 10.0 ** rng.uniform(0, 12)
+            gens = s * (np.outer(u, rng.normal(size=e)) + 10.0 ** rng.uniform(
+                -20, -8) * rng.normal(size=(2, e)))
+            gamma = np.outer(rng.normal(size=m), [-u[1], u[0]]) + 10.0 ** (
+                rng.uniform(-20, -8)) * rng.normal(size=(m, 2))
+            cert, ok = gain_inputs(gens, gamma,
+                                   np.full(m, 10.0 ** rng.uniform(-6, 0)))
+            assert ok or not cert
+            uncertified_fallbacks += not ok
+        assert uncertified_fallbacks > 100
+
+    def test_point_prior_and_tiny_r(self):
+        gamma = np.array([[1.0, 0.0], [0.5, 2.0]])
+        point = np.zeros((2, 0))
+        # r^2 normal: certified; subnormal or underflowing to 0: not.
+        for r_val, expected in ((1e-150, True), (1e-155, False),
+                                (1e-170, False)):
+            cert, ok = gain_inputs(point, gamma, np.full(2, r_val))
+            assert cert is expected
+            assert ok or not cert
+        # One r much smaller than the other: cond(diag(r^2)) > 1e8.
+        assert gain_inputs(point, gamma, np.array([1.0, 1e-5])) == (False,
+                                                                    True)
+
+    def test_certified_gain_equals_eigenvalue_path(self, rng, monkeypatch):
+        # Where both tests pick the solve the gain is the same bits.
+        cases = []
+        for _ in range(50):
+            z, strips, _ = random_instance(rng, int(rng.integers(1, 4)))
+            gamma = np.array([s.h for s in strips])
+            r = np.array([s.r for s in strips])
+            front = rng.normal(size=(z.dim, z.dim))
+            cases += [(z.generators, gamma, r, None),
+                      (z.generators, gamma, r, front)]
+        fast = [frobenius_optimal_gain(*case) for case in cases]
+        monkeypatch.setattr(intersection, "_solve_certified",
+                            lambda *args: False)
+        slow = [frobenius_optimal_gain(*case) for case in cases]
+        for (lam_f, fb_f), (lam_s, fb_s) in zip(fast, slow):
+            assert fb_f == fb_s
+            assert lam_f.tobytes() == lam_s.tobytes()
 
 
 class TestLuenbergerGainForm:

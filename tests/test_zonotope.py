@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from zonodiff import (
     vertices_2d,
 )
 from zonodiff import zonotope
-from zonodiff.zonotope import reduce_stack
+from zonodiff.zonotope import reduce_stack, stack_zonotopes
 from conftest import random_zonotope, sample_members, sample_vertices
 
 F_ROT = np.array([[0.992, -0.1247], [0.1247, 0.992]])
@@ -240,6 +242,56 @@ def loop_reduce(gens, q):
     box = sum(np.abs(cols[j]) for j in order[q - n:])
     kept += [box[i] * np.eye(n)[i] for i in range(n) if box[i] != 0.0]
     return np.array(kept).T
+
+
+def reduce_cases(rng):
+    """``(Zonotope, q)`` pairs for every branch of the reduction: rows that
+    box, rows that only drop zero columns, zero columns, tied scores, and
+    generator matrices that are C-ordered, Fortran-ordered or strided
+    views of a stack."""
+    cases = []
+    for n in (2, 3, 4):
+        for q in sorted({n, n + 2, 8, 20}):
+            for e in sorted({q + 1, q + 2, 2 * q, 3 * q}):
+                for variant in range(5):
+                    g = rng.normal(size=(n, e)) * 10.0 ** rng.uniform(-3, 3)
+                    if variant == 1:
+                        g[:, rng.choice(e, e // 3, replace=False)] = 0.0
+                    elif variant == 2:
+                        # Sign flips and copies of three columns: ties.
+                        g = g[:, rng.integers(0, 3, e)] * rng.choice(
+                            [-1.0, 1.0], e)
+                    elif variant == 3:
+                        # At most q nonzero columns: only drops zeros.
+                        g[:, rng.choice(e, e - int(rng.integers(0, q + 1)),
+                                        replace=False)] = 0.0
+                    elif variant == 4:
+                        g[rng.integers(0, n)] = 0.0  # a zero box row
+                    c = rng.normal(size=n)
+                    cases.append((Zonotope(c, g), q))
+                    cases.append((Zonotope(c, np.asfortranarray(g)), q))
+                    stack = np.repeat(g.T[None], 2, axis=0).transpose(0, 2, 1)
+                    cases.append((stack_zonotopes(np.tile(c, (2, 1)),
+                                                  stack)[1], q))
+                    wide = np.repeat(g, 2, axis=1)[None]
+                    cases.append((stack_zonotopes(c[None],
+                                                  wide[:, :, ::2])[0], q))
+    return cases
+
+
+class TestReduceSingle:
+    def test_matches_stack_bit_for_bit(self, rng):
+        layouts = set()
+        for z, q in reduce_cases(rng):
+            g = z.generators
+            layouts.add((g.flags.c_contiguous, g.flags.f_contiguous))
+            got = reduce(z, q)
+            [(_, want)] = reduce_stack(g[None], q)
+            assert got.generators.shape == want[0].shape
+            assert got.generators.tobytes() == want[0].tobytes()
+            assert np.array_equal(got.center, z.center)
+        # C-ordered, Fortran-ordered and strided inputs all occurred.
+        assert {(True, False), (False, True), (False, False)} <= layouts
 
 
 class TestReduceStack:
@@ -492,6 +544,135 @@ class TestContainsPoint:
         flat = Zonotope([0.0, 0.0], [[1.0, 2.0], [1.0, 2.0]])
         assert contains_point(flat, [0.5, 0.5], 1e-9)
         assert not contains_point(flat, [0.5, -0.5], 1e-9)
+
+
+def rotated_pair(eps, angle):
+    """The rotated ``[[1, 1, 2], [0, eps, -eps]]``: full rank, with a Gram
+    determinant that cancels for small ``eps``."""
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    return rot @ np.array([[1.0, 1.0, 2.0], [0.0, eps, -eps]])
+
+
+def unit_scaled(gens):
+    """``gens`` scaled by a power of two to ``max |G|`` in ``[1/2, 1)``, as
+    :func:`contains_point` scales it."""
+    return np.ldexp(gens, -math.frexp(np.abs(gens).max())[1])
+
+
+def svd_full_rank(gens):
+    sv = np.linalg.svd(gens, compute_uv=False)
+    return bool(sv[-1] > 1e-12 * sv[0])
+
+
+def gram_screen_sets(rng):
+    """2-D generator matrices around the screen's edge: the rotated
+    near-rank-deficient pair, parallel and anti-parallel generators, and
+    condition numbers from 1 to 1e14."""
+    sets = [rotated_pair(eps, angle)
+            for eps in np.logspace(-13, -3, 41)
+            for angle in rng.uniform(0.0, 2 * np.pi, 3)]
+    for _ in range(30):
+        u = rng.normal(size=2)
+        sets.append(np.outer(u, rng.normal(size=6)))  # both orientations
+        sets.append(np.outer(u, [1.0, -1.0, 2.0, -0.5]))
+        sets.append(np.outer(u, [1.0, -1.0, 2.0]) + 1e-9 * rng.normal(
+            size=(2, 3)))
+    for kappa in np.logspace(0, 14, 29):
+        for e in (2, 5, 20):
+            sets.append(conditioned_generators(rng, 2, e, kappa, 1.0))
+    return sets
+
+
+class TestContainsPointScreensAndScale:
+    def test_gram_screen_never_certifies_rank_deficient(self, rng):
+        certified = 0
+        for gens in gram_screen_sets(rng):
+            for k in (-500, 0, 500):
+                scaled = np.ldexp(gens, k)
+                # Unscaled at 2^+-500 the sums overflow or underflow and
+                # certify nothing; contains_point scales to max |G| ~ 1.
+                for g in (scaled, unit_scaled(scaled)):
+                    if zonotope._gram_full_rank(g):
+                        certified += 1
+                        assert svd_full_rank(g) and svd_full_rank(gens)
+        assert certified > 100
+        for eps in (1e-13, 1e-12, 1e-11):
+            assert not zonotope._gram_full_rank(rotated_pair(eps, 0.3))
+
+    def test_gram_screen_keeps_decisions(self, rng, monkeypatch):
+        cases = []
+        sets = gram_screen_sets(rng) + [rng.normal(size=(2, e))
+                                        for e in (2, 3, 6, 20)]
+        for gens in sets:
+            z = Zonotope(rng.normal(size=2), gens)
+            if not svd_full_rank(gens):
+                continue
+            for _ in range(2):
+                face = facet_offset(rng, z)
+                for gauge in (1 - 1e-9, 1 + 1e-9, 1 - 1e-14, 1 + 1e-14):
+                    for tol in (0.0, 1e-9):
+                        cases.append((z, z.center + gauge * face, tol))
+        screened = [contains_point(*case) for case in cases]
+        monkeypatch.setattr(zonotope, "_gram_full_rank", lambda gens: False)
+        assert screened == [contains_point(*case) for case in cases]
+        assert len(cases) > 1000 and 0 < sum(screened) < len(cases)
+
+    @pytest.mark.parametrize("n, e", [(2, 6), (2, 20), (3, 8), (4, 20),
+                                      (5, 7)])
+    def test_decisions_invariant_under_power_of_two_scale(self, n, e, rng):
+        # Facet points at gauges around 1, a deep point and an outside
+        # point: at 2^k times the set and the point, every answer is the
+        # answer at scale 1, from 2^-1000 to 2^1000.
+        gens = rng.normal(size=(n, e))
+        z = Zonotope(np.zeros(n), gens)
+        points = [0.3 * gens @ rng.uniform(-1, 1, e),
+                  interval_hull(z)[1] * 1.01]
+        for _ in range(3):
+            face = facet_offset(rng, z)
+            points += [g * face for g in (1 - 1e-9, 1 - 1e-14, 1 + 1e-14,
+                                          1 + 1e-9)]
+        answers = [contains_point(z, d, tol) for d in points
+                   for tol in (0.0, 1e-9)]
+        assert 0 < sum(answers) < len(answers)
+        for k in (-1000, -600, -300, 300, 600, 1000):
+            scaled = Zonotope(np.zeros(n), np.ldexp(gens, k))
+            assert answers == [contains_point(scaled, np.ldexp(d, k), tol)
+                               for d in points for tol in (0.0, 1e-9)]
+
+    @pytest.mark.parametrize("n, scale", [(4, 1e-110), (3, 1e-170),
+                                          (2, 1e155)])
+    def test_tiny_or_huge_set_rejects_far_point(self, n, scale, rng):
+        # Tiny 3-D and 4-D sets accepted far points (the facet normals
+        # underflowed to 0), and a huge 2-D set a point 1000x outside, with
+        # warnings (errors in the tests).
+        z = Zonotope(np.zeros(n), scale * rng.normal(size=(n, 20)))
+        far = 1000 * interval_hull(z)[1]
+        assert not contains_point(z, far)
+        assert not contains_point(z, np.ones(n) if scale < 1 else far)
+        assert contains_point(z, 0.5 * z.generators @ rng.uniform(-1, 1, 20))
+
+    @pytest.mark.parametrize("scale", [1e78, 1e80])
+    def test_huge_set_accepts_members(self, scale, rng):
+        # normals @ gens overflowed, with warnings, and members were
+        # rejected.
+        z = Zonotope(np.zeros(4), scale * rng.normal(size=(4, 20)))
+        b = rng.uniform(0.9, 1.0, (20, 20)) * rng.choice([-1.0, 1.0],
+                                                          (20, 20))
+        assert all(contains_point(z, z.generators @ row) for row in b)
+
+    def test_far_point_rejected_without_products(self, rng, monkeypatch):
+        # Scaled to max |G| ~ 1 these points would overflow: they are
+        # rejected before the rank test.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a far point reached the rank test")
+
+        for n in (2, 3, 4):
+            z = Zonotope(np.zeros(n), 1e-300 * rng.normal(size=(n, 8)))
+            monkeypatch.setattr(np.linalg, "svd", no_svd)
+            assert not contains_point(z, np.full(n, 1e300))
+            monkeypatch.undo()
+            assert contains_point(z, z.generators @ rng.uniform(-1, 1, 8))
 
 
 class TestVertices2D:
