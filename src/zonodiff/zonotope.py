@@ -136,9 +136,9 @@ def reduce(z: Zonotope, q: int) -> Zonotope:
     reduction actually happens.
 
     The body is :func:`reduce_stack` for a stack of one, without the
-    stack's gathers, and gives its result bit for bit: the same sort keys,
-    and the box summed along the contiguous axis of a C-ordered gather, as
-    the stack sums it.
+    stack's gathers, and gives its result bit for bit and C-ordered: the
+    same sort keys, and the box summed along the contiguous axis of a
+    C-ordered gather, as the stack sums it.
     """
     q = int(q)
     n, e = z.generators.shape
@@ -151,13 +151,16 @@ def reduce(z: Zonotope, q: int) -> Zonotope:
     col_max = absg.max(axis=0)
     nonzero = col_max != 0.0
     if np.count_nonzero(nonzero) <= q:
-        out = gens[:, nonzero]
+        # np.compress gathers C-ordered; gens[:, nonzero] comes back
+        # Fortran-ordered, and later sums over it can differ by an ulp.
+        out = np.compress(nonzero, gens, axis=1)
     else:
         key = np.where(nonzero, col_max - absg.sum(axis=0), np.inf)
         order = np.argsort(key, kind="stable")
         box = np.abs(np.take(gens, order[q - n:], axis=1)).sum(axis=1)
         out = np.concatenate([np.take(gens, order[:q - n], axis=1),
-                              np.diag(box)[:, box != 0.0]], axis=1)
+                              np.compress(box != 0.0, np.diag(box), axis=1)],
+                             axis=1)
     # The kept columns are finite; a box sum can overflow.
     _check_finite(out, "generators")
     out.flags.writeable = False
@@ -429,7 +432,10 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
         return bool(abs(d[0]) <= (1.0 + tol) * np.abs(gens).sum())
     if e >= n:
         k = math.frexp(float(np.abs(gens).max()))[1]
-        if math.frexp(max(map(abs, d.tolist())))[1] - k > 400:
+        # frexp(0.0) has exponent 0, which must not count as far when the
+        # point is the center of a set below 2^-400.
+        far = max(map(abs, d.tolist()))
+        if far and math.frexp(far)[1] - k > 400:
             return False
         unit_g, unit_d = np.ldexp(gens, -k), np.ldexp(d, -k)
         sv = (None if n == 2 and _gram_full_rank(unit_g)

@@ -289,6 +289,9 @@ class TestReduceSingle:
             [(_, want)] = reduce_stack(g[None], q)
             assert got.generators.shape == want[0].shape
             assert got.generators.tobytes() == want[0].tobytes()
+            # tobytes() is C-order whatever the layout; sums over a
+            # Fortran-ordered result can differ by an ulp downstream.
+            assert got.generators.flags.c_contiguous
             assert np.array_equal(got.center, z.center)
         # C-ordered, Fortran-ordered and strided inputs all occurred.
         assert {(True, False), (False, True), (False, False)} <= layouts
@@ -660,6 +663,22 @@ class TestContainsPointScreensAndScale:
         b = rng.uniform(0.9, 1.0, (20, 20)) * rng.choice([-1.0, 1.0],
                                                           (20, 20))
         assert all(contains_point(z, z.generators @ row) for row in b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e-130, 1e-156])
+    def test_tiny_set_accepts_center_and_near_center(self, n, scale, rng):
+        # The far-point check read the exponent of max |d| = 0 at the
+        # center as 0, which is more than 400 above a set below 2^-400.
+        z = Zonotope(np.zeros(n), scale * rng.normal(size=(n, 8)))
+        assert contains_point(z, z.center)
+        assert contains_point(z, 1e-3 * z.generators @ rng.uniform(-1, 1, 8))
+        assert contains_point(Zonotope(np.zeros(n), scale * np.eye(n)),
+                              np.zeros(n))
+        # A rank-deficient set goes to the LP after the same check.
+        flat = scale * np.outer(rng.normal(size=n), rng.normal(size=5))
+        z = Zonotope(np.full(n, scale), flat)
+        assert contains_point(z, z.center)
+        assert contains_point(z, z.center + 1e-3 * flat @ rng.uniform(-1, 1, 5))
 
     def test_far_point_rejected_without_products(self, rng, monkeypatch):
         # Scaled to max |G| ~ 1 these points would overflow: they are
