@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zonotope import Zonotope, stack_zonotopes
+from .zonotope import Zonotope, checked_zonotope, stack_zonotopes
 
 __all__ = [
     "Strip",
@@ -82,7 +82,11 @@ class Strip:
 
 
 def stack_strips(strips, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(Gamma, y, r)`` of a nonempty strip family in dimension ``dim``."""
+    """``(Gamma, y, r)`` of a nonempty strip family in dimension ``dim``:
+    one row of ``Gamma`` and one entry of ``y`` and ``r`` per strip.
+
+    Raises ``ValueError`` for no strips or strips of another dimension.
+    """
     strips = list(strips)
     if not strips:
         raise ValueError("at least one strip is required")
@@ -94,15 +98,17 @@ def stack_strips(strips, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gamma, y, r
 
 
-def correct(center, gens, gamma, y, r, lam, front=None):
+def correct(center, gens, gamma, y, r, lam, front=None, noise=None):
     """Gain-corrected set: the affine step shared by both observers.
 
     Maps ``<c, G>`` with strips ``(Gamma, y, r)`` and gain ``Lam`` to center
     ``front c + Lam (y - Gamma c)`` and generators
-    ``[(front - Lam Gamma) G, lam_1 r_1, ..., lam_m r_m]``. Shapes:
+    ``[(front - Lam Gamma) G, lam_1 r_1, ..., lam_m r_m, noise]``. Shapes:
     ``center (n,)``, ``gens (n, e)``, ``gamma (m, n)``, ``y, r (m,)``,
     ``lam (n, m)``; ``front`` is an ``n x n`` matrix, the identity when
-    None (the pure measurement update). Returns ``(center, gens)``.
+    None (the pure measurement update), and ``noise`` an optional ``n x p``
+    block appended as is. Returns ``(center, gens)``, the generators built
+    in one concatenation.
     """
     innovation = y - gamma @ center
     if front is None:
@@ -111,7 +117,10 @@ def correct(center, gens, gamma, y, r, lam, front=None):
     else:
         out_center = front @ center + lam @ innovation
         shrink = front - lam @ gamma
-    return out_center, np.hstack([shrink @ gens, lam * r])
+    blocks = [shrink @ gens, lam * r]
+    if noise is not None:
+        blocks.append(noise)
+    return out_center, np.concatenate(blocks, axis=1)
 
 
 def intersect_strips(z: Zonotope, strips, lam) -> Zonotope:
@@ -133,7 +142,7 @@ def intersect_strips(z: Zonotope, strips, lam) -> Zonotope:
             f"gain shape {lam.shape} does not match (n, m) = ({z.dim}, {len(y)})"
         )
     center, gens = correct(z.center, z.generators, gamma, y, r, lam)
-    return stack_zonotopes(center[None], gens[None])[0]
+    return checked_zonotope(center, gens)
 
 
 def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,

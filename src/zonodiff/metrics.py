@@ -9,8 +9,14 @@ from itertools import combinations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .zonotope import (Zonotope, _vertices_stack, f_radius, interval_hull,
-                       vertices_2d)
+from .zonotope import (
+    Zonotope,
+    _norm,
+    _vertices_stack,
+    f_radius,
+    interval_hull,
+    vertices_2d,
+)
 
 __all__ = [
     "half_diagonal",
@@ -24,7 +30,7 @@ __all__ = [
 
 def half_diagonal(lower, upper) -> float:
     """Half the Euclidean diagonal of the box ``[lower, upper]``."""
-    return 0.5 * float(np.linalg.norm(upper - lower))
+    return 0.5 * _norm(upper - lower)
 
 
 def hausdorff_2d(a: Zonotope, b: Zonotope) -> float:
@@ -39,6 +45,30 @@ def hausdorff_2d(a: Zonotope, b: Zonotope) -> float:
 def _vertex_hausdorff(va: np.ndarray, vb: np.ndarray) -> float:
     d = cdist(va, vb)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _pairs_hausdorff(verts, pairs) -> np.ndarray:
+    """:func:`_vertex_hausdorff` of ``(verts[a], verts[b])`` for every pair
+    ``(a, b)``: one ``cdist`` per pair, then the minima and maxima of all
+    the distance matrices at once. Min and max are exact, so each value is
+    the per-pair one bit for bit."""
+    dists = [cdist(verts[a], verts[b]) for a, b in pairs]
+    return np.maximum(_farthest_nearest([d.T for d in dists]),
+                      _farthest_nearest(dists))
+
+
+def _farthest_nearest(blocks) -> np.ndarray:
+    """``block.min(axis=0).max()`` of every block, as one array.
+
+    The blocks are placed side by side and padded below with inf, so each
+    minimum runs down a column with the rows as the outer loop: a minimum
+    along short contiguous rows costs a loop per row."""
+    widths = np.array([b.shape[1] for b in blocks])
+    starts = np.cumsum(widths) - widths
+    side = np.full((max(b.shape[0] for b in blocks), widths.sum()), np.inf)
+    for start, block in zip(starts.tolist(), blocks):
+        side[:block.shape[0], start:start + block.shape[1]] = block
+    return np.maximum.reduceat(side.min(axis=0), starts)
 
 
 @dataclass(frozen=True)
@@ -94,8 +124,7 @@ def build_records(result, trajectory) -> Records:
     hulls = np.array([[interval_hull(est) for est in row] for row in rows])
     return Records(
         radius=np.array([[f_radius(est) for est in row] for row in rows]),
-        center_error=np.array([[np.linalg.norm(est.center - truth)
-                                for est in row]
+        center_error=np.array([[_norm(est.center - truth) for est in row]
                                for row, truth in zip(rows, trajectory.states)]),
         lower=hulls[:, :, 0],
         upper=hulls[:, :, 1],
@@ -123,14 +152,14 @@ def summarize(records: Records, estimates=None, burn_in: int = 5):
     hausdorff = None
     if (estimates is not None and len(estimates[0]) >= 2
             and estimates[0][0].dim == 2):
-        # The vertices of every node-step in one stacked pass, then one
-        # distance matrix per node pair per step.
+        # The vertices of every node-step in one stacked pass, then per
+        # step one distance matrix per node pair and one padded min/max
+        # reduction of all of them.
         nodes = len(estimates[0])
         verts = _vertices_stack([z for row in estimates for z in row])
         pairs = list(combinations(range(nodes), 2))
-        hausdorff = np.array([
-            [_vertex_hausdorff(verts[s + a], verts[s + b]) for a, b in pairs]
-            for s in range(0, len(verts), nodes)])
+        hausdorff = np.array([_pairs_hausdorff(verts[s:s + nodes], pairs)
+                              for s in range(0, len(verts), nodes)])
 
     steps = StepSummary(
         records.radius.mean(axis=1), records.radius.std(axis=1),

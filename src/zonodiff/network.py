@@ -6,8 +6,9 @@ every node computes its corrected set; phase 2 delivers the corrected sets
 and every node fuses them (diffusion) and, for the set-membership
 observer, propagates in time. Node computations within a phase are
 independent, so iteration order cannot affect results. Phase 1 runs node
-by node through :func:`~zonodiff.observers.local_update`; phase 2 runs for
-all nodes at once on stacked arrays.
+by node through :func:`~zonodiff.observers.local_update` on the rows of
+the round's stacked strip arrays; phase 2 runs for all nodes at once on
+stacked arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intersection import squared_f_radius
+from .intersection import squared_f_radius, stack_strips
 from .observers import (
     NodeState,
     ObserverConfig,
@@ -71,6 +72,15 @@ class Topology:
                     )
         object.__setattr__(self, "n_nodes", n)
         object.__setattr__(self, "neighbors", nbrs)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Each node's neighbor list as an index array, for gathering its
+        rows of a round's stacked strip arrays."""
+        rows = tuple(np.array(row, dtype=np.intp) for row in self.neighbors)
+        for row in rows:
+            row.flags.writeable = False
+        return rows
 
     @cached_property
     def _batches(self) -> list:
@@ -154,13 +164,17 @@ def run_round(topology: Topology, node_states, measurements,
     """Execute one synchronous round and return the new node states.
 
     ``measurements`` holds one :class:`~zonodiff.intersection.Strip` per
-    node. Phase 1 calls :func:`~zonodiff.observers.local_update` per node.
-    Phase 2 runs for all nodes at once on stacked arrays, one batch per
-    neighborhood size (split further only while neighborhoods carry
-    different generator counts), with the same kernels as the per-node
-    functions of :mod:`zonodiff.observers`. A node's result depends only on
-    its own neighborhood, so it is independent of the batching and of node
-    order. Callers time around this function if needed.
+    node. They are stacked once per round into ``(Gamma, y, r)`` arrays,
+    which also checks their dimension against the state's (``ValueError``
+    otherwise). Phase 1 calls :func:`~zonodiff.observers.local_update` per
+    node with its neighborhood's rows of those arrays, gathered through
+    index arrays cached on the topology. Phase 2 runs for all nodes at once
+    on stacked arrays, one batch per neighborhood size (split further only
+    while neighborhoods carry different generator counts), with the same
+    kernels as the per-node functions of :mod:`zonodiff.observers`. A
+    node's result depends only on its own neighborhood, so it is
+    independent of the batching and of node order. Callers time around
+    this function if needed.
     """
     states = list(node_states)
     n_nodes = topology.n_nodes
@@ -175,9 +189,10 @@ def run_round(topology: Topology, node_states, measurements,
     sm = cfg.kind is ObserverKind.SET_MEMBERSHIP
 
     # Phase 1: every node computes its corrected set from the delivered strips.
-    corrected = [local_update(state, [measurements[j] for j in row], cfg,
+    gamma, y, r = stack_strips(measurements, dim)
+    corrected = [local_update(state, (gamma[row], y[row], r[row]), cfg,
                               f_mat, noise)
-                 for state, row in zip(states, topology.neighbors)]
+                 for state, row in zip(states, topology._rows)]
     own = _group(corrected)
 
     # Phase 2 barrier: only now are corrected sets exchanged.

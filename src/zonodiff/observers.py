@@ -34,7 +34,14 @@ from .intersection import (
     squared_f_radius,
     stack_strips,
 )
-from .zonotope import Zonotope, reduce, reduce_stack, stack_zonotopes
+from .zonotope import (
+    Zonotope,
+    _check_finite,
+    checked_zonotope,
+    reduce,
+    reduce_stack,
+    stack_zonotopes,
+)
 
 __all__ = [
     "ObserverKind",
@@ -116,12 +123,14 @@ def _stacked(noise: np.ndarray, batch: int) -> np.ndarray:
 
 
 def noise_matrix(q_generators, dim: int) -> np.ndarray:
-    """Process-noise generators as an ``n x e`` matrix (``e = 0`` allowed)."""
+    """Process-noise generators as a finite ``n x e`` matrix (``e = 0``
+    allowed)."""
     noise = np.asarray(q_generators, dtype=float)
     if noise.size == 0:
         noise = noise.reshape(dim, 0)
     if noise.ndim != 2 or noise.shape[0] != dim:
         raise ValueError("process-noise generators do not match the state")
+    _check_finite(noise, "process-noise generators")
     return noise
 
 
@@ -130,24 +139,40 @@ def check_budget(q: int, dim: int) -> None:
         raise ValueError("q must be at least the state dimension")
 
 
-def _corrected(z: Zonotope, strips, front=None):
-    """Center and generators of ``z`` corrected by ``strips`` at the
-    F-radius-optimal gain, with front matrix ``front`` (identity if None)."""
-    gamma, y, r = stack_strips(strips, z.dim)
+def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None):
+    """Center and generators of ``z`` corrected by the strips ``(gamma, y,
+    r)`` at the F-radius-optimal gain, with front matrix ``front``
+    (identity if None) and the generator block ``noise`` appended."""
     lam, fallback = frobenius_optimal_gain(z.generators, gamma, r, front)
     if fallback:
         _log.debug("gain solve fell back to a pseudo-inverse: the normal "
                    "matrix of %d strips is near-singular", len(r))
-    return correct(z.center, z.generators, gamma, y, r, lam, front)
+    return correct(z.center, z.generators, gamma, y, r, lam, front, noise)
 
 
-def _zonotope(center, gens) -> Zonotope:
-    return stack_zonotopes(center[None], gens[None])[0]
+def _measurement_update(z: Zonotope, gamma, y, r) -> Zonotope:
+    return checked_zonotope(*_corrected(z, gamma, y, r))
+
+
+def _luenberger_update(z: Zonotope, gamma, y, r, f_mat, noise,
+                       q: int) -> Zonotope:
+    center, gens = _corrected(z, gamma, y, r, f_mat, noise)
+    # One finiteness check per array: reduce checks the generators it
+    # builds, so only a generator matrix it returns as given is checked
+    # here.
+    _check_finite(center, "center")
+    center.flags.writeable = False
+    out = reduce(Zonotope._trusted(center, gens), q)
+    if out.generators is gens:
+        _check_finite(gens, "generators")
+        gens.flags.writeable = False
+    return out
 
 
 def sm_measurement_update(state: NodeState, strips) -> Zonotope:
     """Corrected set: prior intersected with all strips at the optimal gain."""
-    return _zonotope(*_corrected(state.estimate, strips))
+    z = state.estimate
+    return _measurement_update(z, *stack_strips(strips, z.dim))
 
 
 def sm_diffusion_update(shared, q: int) -> Zonotope:
@@ -191,18 +216,31 @@ def iv_luenberger_update(state: NodeState, strips, f_matrix, q_generators,
     ``n`` bounded by the ``Q`` generators.
     """
     z = state.estimate
-    center, gens = _corrected(z, strips, np.asarray(f_matrix, dtype=float))
-    gens = np.hstack([gens, noise_matrix(q_generators, z.dim)])
-    return reduce(_zonotope(center, gens), q)
+    return _luenberger_update(z, *stack_strips(strips, z.dim),
+                              np.asarray(f_matrix, dtype=float),
+                              noise_matrix(q_generators, z.dim), q)
 
 
 def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
                  q_generators) -> Zonotope:
-    """Phase-1 computation: the set this node shares with its neighbors."""
-    check_budget(cfg.q, state.estimate.dim)
+    """Phase-1 computation: the set this node shares with its neighbors.
+
+    ``strips`` is the ``(Gamma, y, r)`` triple of the neighborhood's
+    strips, shapes ``(m, n)``, ``(m,)`` and ``(m,)``, as
+    :func:`~zonodiff.intersection.stack_strips` returns it; the network
+    round passes each node its rows of the round's stacked strip arrays.
+    ``f_matrix`` (``n x n``) and ``q_generators`` (``n x p``, as
+    :func:`noise_matrix` returns it) are float arrays, used as given. The
+    strip dimension is not checked here. Returns the corrected set of the
+    set-membership observer, or the reduced Luenberger step of the
+    interval-based one.
+    """
+    z = state.estimate
+    check_budget(cfg.q, z.dim)
+    gamma, y, r = strips
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
-        return sm_measurement_update(state, strips)
-    return iv_luenberger_update(state, strips, f_matrix, q_generators, cfg.q)
+        return _measurement_update(z, gamma, y, r)
+    return _luenberger_update(z, gamma, y, r, f_matrix, q_generators, cfg.q)
 
 
 def fuse_update(state: NodeState, own_corrected: Zonotope, shared_sets,

@@ -120,9 +120,27 @@ def stack_zonotopes(centers: np.ndarray, gens: np.ndarray) -> list[Zonotope]:
     return [Zonotope._trusted(c, g) for c, g in zip(centers, gens)]
 
 
+def checked_zonotope(center: np.ndarray, gens: np.ndarray) -> Zonotope:
+    """:class:`Zonotope` of a freshly computed length-``n`` center and
+    ``n x e`` generator matrix: one finiteness check of each, then both
+    are frozen in place rather than copied."""
+    _check_finite(center, "center")
+    _check_finite(gens, "generators")
+    center.flags.writeable = False
+    gens.flags.writeable = False
+    return Zonotope._trusted(center, gens)
+
+
+def _norm(x: np.ndarray) -> float:
+    # Euclidean norm of all entries: what np.linalg.norm computes for
+    # ord=None, bit for bit, without its dispatch.
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def f_radius(z: Zonotope) -> float:
     """Frobenius norm of the generator matrix (the F-radius size proxy)."""
-    return float(np.linalg.norm(z.generators))
+    return _norm(z.generators)
 
 
 def reduce(z: Zonotope, q: int) -> Zonotope:
@@ -338,6 +356,45 @@ def _certified_member(gens: np.ndarray, d: np.ndarray, sv: np.ndarray) -> bool:
     return bool(np.abs(b).max() + rho / s_lo <= 1.0 - mu)
 
 
+def _certified_column_member(gens: np.ndarray, d: np.ndarray,
+                             tol: float) -> bool:
+    """Sufficient test that ``d`` is a member of ``<0, G>`` up to the
+    rounding of ``d``, for an ``n x e`` matrix ``G`` with ``e < n``.
+
+    ``b^`` are the least-squares coefficients of ``G b = d`` (LAPACK's
+    SVD-based solver), unique when ``G`` has full column rank. As in
+    :func:`_certified_member`, ``||rho^|| + 2 (e + 2) eps (||d|| +
+    sqrt(e) s_max ||b^||)`` bounds the exact residual ``||d - G b^||``,
+    with ``||G||_F <= sqrt(e) s_max``. The answer is True iff ``G`` passes
+    the rank test ``s_min > 1e-12 s_max``, ``||b^||_inf <= 1 + tol`` and
+    the computed residual ``||rho^||`` is at most ``2 (e + 2) eps (||d|| +
+    sqrt(e) s_max ||b^||)``.
+
+    What True means: ``G b^`` with ``||b^||_inf <= 1 + tol`` is a member,
+    and ``d`` is within ``4 (e + 2) eps (||d|| + ||G||_F ||b^||)`` of it,
+    a few roundings of ``d`` itself. An offset ``x - c`` of a member
+    computed in floating point is rarely in the range of ``G`` exactly, so
+    no exact test accepts it; the LP accepts residuals below its absolute
+    feasibility tolerance instead. A point farther from the range is not
+    certified and goes to the LP. The caller scales ``G`` and ``d`` by
+    one power of two to ``max |G|`` in ``[1/2, 1)`` and ``d`` within
+    ``2^+-400`` of that, so no product overflows and none that underflows
+    matters at the bound.
+    """
+    e = gens.shape[1]
+    try:
+        b, _, _, sv = np.linalg.lstsq(gens, d, rcond=None)
+    except np.linalg.LinAlgError:
+        return False
+    if not sv[-1] > 1e-12 * sv[0]:
+        return False
+    resid = d - gens @ b
+    bound = 2 * (e + 2) * _EPS * (
+        math.sqrt(d @ d) + math.sqrt(e) * sv[0] * math.sqrt(b @ b))
+    return bool(math.sqrt(resid @ resid) <= bound
+                and np.abs(b).max() <= 1.0 + tol)
+
+
 def _gram_full_rank(gens: np.ndarray) -> bool:
     """Sufficient test that the ``2 x e`` matrix ``gens`` passes the rank
     test ``s_min > 1e-12 s_max`` of its singular values.
@@ -406,6 +463,18 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     the facet test of a 4-state set with 20 generators, and certifies most
     true states of a tracking run. 2-D sets never enter it.
 
+    A set with ``e < n`` generators of full column rank first tries to
+    certify ``x`` from its least-squares coefficients
+    (:func:`_certified_column_member`): it accepts a point within a few
+    roundings of ``x - c`` of a member, which the exact equation ``G b =
+    x - c`` rarely admits in floating point. It only answers True and
+    leaves the rest to the LP, as it does offsets whose largest entry is
+    more than ``2^400`` times larger or smaller than ``max |G|``.
+
+    Where ``x - c`` overflows, the set and the point are halved first,
+    which is exact for normal numbers, so the answer comes without an
+    overflow warning.
+
     Raises ``ValueError`` for a non-finite point, a dimension mismatch or a
     negative ``tol``.
     """
@@ -419,8 +488,17 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     # Python floats: a third of the cost of np.isfinite on a short vector.
     # The check comes first because the facet products warn on an
     # infinite point.
-    if not all(map(math.isfinite, point.tolist())):
+    coords = point.tolist()
+    if not all(map(math.isfinite, coords)):
         raise ValueError("point must contain only finite values")
+    # Python floats: a difference that overflows is inf, without a warning.
+    offsets = [p - c for p, c in zip(coords, z.center.tolist())]
+    if not all(map(math.isfinite, offsets)):
+        # x - c overflows. Halving the set and the point is exact for
+        # entries above 2^-1021 in magnitude, and x / 2 - c / 2 is finite.
+        return contains_point(
+            Zonotope._trusted(0.5 * z.center, 0.5 * z.generators),
+            0.5 * point, tol)
     d = point - z.center
     gens = z.generators
     n, e = gens.shape
@@ -430,12 +508,14 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     if n == 1:
         # A 1-D zonotope is exactly the interval of its hull.
         return bool(abs(d[0]) <= (1.0 + tol) * np.abs(gens).sum())
+    k = math.frexp(float(np.abs(gens).max()))[1]
+    # Binary exponent of the farthest offset above that of max |G|.
+    # frexp(0.0) has exponent 0, which must not count as far when the
+    # point is the center of a set below 2^-400.
+    far = max(map(abs, offsets))
+    spread = math.frexp(far)[1] - k if far else -math.inf
     if e >= n:
-        k = math.frexp(float(np.abs(gens).max()))[1]
-        # frexp(0.0) has exponent 0, which must not count as far when the
-        # point is the center of a set below 2^-400.
-        far = max(map(abs, d.tolist()))
-        if far and math.frexp(far)[1] - k > 400:
+        if spread > 400:
             return False
         unit_g, unit_d = np.ldexp(gens, -k), np.ldexp(d, -k)
         sv = (None if n == 2 and _gram_full_rank(unit_g)
@@ -449,7 +529,88 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
                 lhs = np.abs(normals @ unit_d)
                 rhs = np.abs(normals @ unit_g).sum(axis=1)
                 return bool((lhs <= (1.0 + tol) * rhs).all())
+    elif abs(spread) <= 400 and _certified_column_member(
+            np.ldexp(gens, -k), np.ldexp(d, -k), tol):
+        return True
     return _contains_lp(gens, d, tol)
+
+
+# The stacked containment test takes at most this many entries of facet
+# products (B x e x e doubles, 2 MiB) per chunk of B sets, so its memory
+# does not grow with the number of sets.
+_STACK_ENTRIES = 1 << 18
+
+
+def contains_stack(zs, points, tol: float = 1e-9) -> np.ndarray:
+    """:func:`contains_point` of every pair ``(zs[i], points[i])``, as a
+    boolean array; ``points`` is an ``(len(zs), n)`` array.
+
+    2-D sets with at least two generators are stacked by generator count,
+    in chunks of at most ``2^18`` facet-product entries, and each chunk
+    goes through the per-set arithmetic at once: the power-of-two scaling,
+    the far-point check, the Gram screen and the facet products, each
+    row's product with the per-set call shape. So every decision is the
+    per-set one. Far points, offsets that overflow, sets the Gram screen
+    leaves to the SVD, other dimensions and sets with fewer generators go
+    through :func:`contains_point` one by one.
+    """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    points = np.asarray(points, dtype=float)
+    planar = points.shape[1:] == (2,)
+    out = np.zeros(len(zs), dtype=bool)
+    by_width = {}
+    rest = []
+    for i, z in enumerate(zs):
+        n, e = z.generators.shape
+        if planar and n == 2 and e >= 2:
+            by_width.setdefault(e, []).append(i)
+        else:
+            rest.append(i)
+    for e, index in by_width.items():
+        size = max(1, _STACK_ENTRIES // (e * e))
+        for start in range(0, len(index), size):
+            rows = np.array(index[start:start + size])
+            decided, member = _facet_stack(
+                np.array([zs[i].center for i in rows]),
+                np.array([zs[i].generators for i in rows]), points[rows], tol)
+            out[rows[decided]] = member
+            rest += rows[~decided].tolist()
+    for i in rest:
+        out[i] = contains_point(zs[i], points[i], tol)
+    return out
+
+
+def _facet_stack(centers, gens, points, tol):
+    """The 2-D facet test of :func:`contains_point` for a stack of sets
+    with centers ``(B, 2)`` and generators ``(B, 2, e)``, ``e >= 2``.
+
+    Returns ``(decided, member)``: ``decided`` marks the rows whose offset
+    is finite and not far and whose rank the Gram screen certifies, and
+    ``member`` holds their decisions, in row order.
+    """
+    e = gens.shape[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = points - centers
+    k = np.frexp(np.abs(gens).max(axis=(1, 2)))[1]
+    far = np.abs(d).max(axis=1)
+    finite = np.isfinite(far)
+    spread = np.frexp(np.where(finite, far, 0.0))[1] - k
+    rows = np.flatnonzero(finite & ((far == 0.0) | (spread <= 400)))
+    unit_g = np.ldexp(gens[rows], -k[rows, None, None])
+    unit_d = np.ldexp(d[rows], -k[rows, None])
+    # The Gram screen of _gram_full_rank, row by row.
+    gram = unit_g @ unit_g.transpose(0, 2, 1)
+    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    s = a + c
+    full = a * c - b * b > (1e-8 + 4 * (e + 2) * _EPS) * s * s
+    rows, unit_g, unit_d = rows[full], unit_g[full], unit_d[full]
+    normals = np.stack([-unit_g[:, 1], unit_g[:, 0]], axis=2)
+    lhs = np.abs(normals @ unit_d[:, :, None])[:, :, 0]
+    rhs = np.abs(normals @ unit_g).sum(axis=2)
+    decided = np.zeros(len(gens), dtype=bool)
+    decided[rows] = True
+    return decided, (lhs <= (1.0 + tol) * rhs).all(axis=1)
 
 
 # The stacked collinear merge decides a whole set at once when every test

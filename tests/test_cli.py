@@ -3,10 +3,14 @@ import json
 
 import pytest
 
+from zonodiff import Zonotope, contains_point
+from zonodiff import cli
 from zonodiff.cli import (
+    CONTAINMENT_TOL,
     RECORD_COLUMNS,
     SUMMARY_COLUMNS,
     ConfigError,
+    ContainmentViolationError,
     RunConfig,
     execute_run,
     grid_cells,
@@ -300,6 +304,45 @@ class TestCmdReplay:
                    "--measurement-noise", "0.05", "--process-noise", "0.001",
                    "--out", str(tmp_path / "bad")])
         assert rc == 3
+
+
+class TestContainmentCheck:
+    @pytest.mark.parametrize("alg", ["sm", "iv"])
+    @pytest.mark.parametrize("escapes", [
+        [(7, 3)],
+        [(12, 5), (20, 0), (12, 2)],
+        # A point set is tested per set, the others in the stack.
+        [(15, 1), (9, 6, "point"), (9, 7)],
+    ])
+    def test_reports_first_escape_of_per_set_loop(self, alg, escapes,
+                                                  monkeypatch):
+        # Estimates moved away from the truth after the simulation: the
+        # stacked check must name the (step, node) that a loop over steps,
+        # then nodes, with contains_point finds first.
+        real = cli.run_simulation
+        seen = {}
+
+        def escaping(model, topology, obs_cfg, trajectory, **kwargs):
+            result = real(model, topology, obs_cfg, trajectory, **kwargs)
+            for k, i, *point in escapes:
+                z = result.estimates[k][i]
+                moved = z.center + 1e3
+                result.estimates[k][i] = (Zonotope.point(moved) if point
+                                          else Zonotope(moved, z.generators))
+            seen.update(estimates=result.estimates, states=trajectory.states)
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", escaping)
+        cfg = RunConfig(algorithm=alg, steps=25, seed=3).validate()
+        with pytest.raises(ContainmentViolationError) as err:
+            execute_run(cfg)
+        first = next((k, i) for k, row in enumerate(seen["estimates"])
+                     for i, z in enumerate(row)
+                     if not contains_point(z, seen["states"][k],
+                                           CONTAINMENT_TOL))
+        assert first == min((k, i) for k, i, *_ in escapes)
+        assert str(err.value) == (f"true state escaped node {first[1]}'s "
+                                  f"estimate at step {first[0]}")
 
 
 class TestTimingFlag:

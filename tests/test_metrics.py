@@ -107,6 +107,35 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff_2d(random_zonotope(rng, 3, 3), random_zonotope(rng, 3, 3))
 
+    def test_step_reduction_matches_per_pair(self, rng):
+        # Vertex counts from 1 (a point) to 40 differ across the pairs, so
+        # every matrix is padded in rows or columns or both.
+        for _ in range(10):
+            zs = [random_zonotope(rng, 2, int(e))
+                  for e in rng.integers(0, 21, size=8)]
+            verts = [vertices_2d(z) for z in zs]
+            assert len({len(v) for v in verts}) > 2
+            pairs = list(combinations(range(8), 2))
+            got = metrics._pairs_hausdorff(verts, pairs)
+            want = [metrics._vertex_hausdorff(verts[a], verts[b])
+                    for a, b in pairs]
+            assert got.tolist() == want
+
+
+class TestLeanNorm:
+    def test_matches_numpy_norm(self, rng):
+        # Bit for bit on C-ordered, Fortran-ordered, strided and empty
+        # arrays, and through the metrics that use it.
+        base = rng.normal(size=(6, 9)) * np.exp(rng.normal(size=(6, 9)) * 5)
+        for x in (base, np.asfortranarray(base), base[::2, 1::3], base.T,
+                  base[0], base[:, 4], np.zeros((2, 0))):
+            assert metrics._norm(x) == np.linalg.norm(x)
+        z = Zonotope([0.0, 0.0], np.asfortranarray(base[:2]))
+        assert f_radius(z) == float(np.linalg.norm(z.generators))
+        lower, upper = interval_hull(z)
+        assert half_diagonal(lower, upper) == 0.5 * float(
+            np.linalg.norm(upper - lower))
+
 
 class TestRecordsAndSummaries:
     def make_run(self, steps=20, kind="sm"):

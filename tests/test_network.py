@@ -18,7 +18,7 @@ from zonodiff import (
     topology_from_json,
     topology_to_json,
 )
-from zonodiff.intersection import frobenius_optimal_gain
+from zonodiff.intersection import frobenius_optimal_gain, stack_strips
 from zonodiff.observers import fuse_update, local_update
 from zonodiff.plant import paper_scenario, simulate
 
@@ -134,7 +134,8 @@ class TestRunRound:
                                       NO_NOISE)
         cfg_solo = ObserverConfig(kind="sm", q=20, diffusion_enabled=False)
         for i in range(8):
-            own = local_update(states[i], [strips[i]], cfg_solo, F_ROT, NO_NOISE)
+            own = local_update(states[i], stack_strips([strips[i]], 2), cfg_solo,
+                               F_ROT, NO_NOISE)
             from zonodiff.observers import fuse_update
             solo, _ = fuse_update(states[i], own, [(i, own)], cfg_solo, F_ROT,
                                   NO_NOISE)
@@ -180,8 +181,11 @@ class TestRunRound:
             case, kind, rng)
         states = [NodeState(i, z) for i, z in enumerate(priors)]
         new_states, trace = run_round(topo, states, strips, cfg, f_mat, q_gens)
-        own = [local_update(states[i], [strips[j] for j in nbrs], cfg, f_mat,
-                            q_gens) for i, nbrs in enumerate(topo.neighbors)]
+        own = [local_update(states[i],
+                            stack_strips([strips[j] for j in nbrs],
+                                         priors[i].dim),
+                            cfg, f_mat, q_gens)
+               for i, nbrs in enumerate(topo.neighbors)]
         if case == "near-parallel":
             fallback = [frobenius_optimal_gain(
                             z.generators, np.array([strips[j].h for j in nbrs]),
@@ -218,8 +222,9 @@ class TestRunRound:
         caplog.set_level(logging.DEBUG, logger="zonodiff")
         for i, nbrs in enumerate(topo.neighbors):
             caplog.clear()
-            local_update(states[i], [strips[j] for j in nbrs], cfg, f_mat,
-                         q_gens)
+            local_update(states[i],
+                         stack_strips([strips[j] for j in nbrs], priors[i].dim),
+                         cfg, f_mat, q_gens)
             fallback = frobenius_optimal_gain(
                 priors[i].generators, np.array([strips[j].h for j in nbrs]),
                 np.array([strips[j].r for j in nbrs]))[1]
@@ -260,6 +265,18 @@ class TestRunRound:
         with pytest.raises(ValueError):
             run_round(topo, self.initial_states(4),
                       make_strips(np.zeros(2), 3), self.cfg, F_ROT, NO_NOISE)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_strip_of_wrong_dimension_rejected(self, kind):
+        # The round stacks its strips once and checks their dimension
+        # there; one 3-D strip among 2-D ones, or all 3-D, is rejected.
+        cfg = ObserverConfig(kind=kind, q=20, diffusion_enabled=True)
+        strips = make_strips(np.zeros(2), 4)
+        for bad in ([*strips[:3], Strip([1.0, 0.0, 0.0], 0.0, 1.0)],
+                    [Strip([1.0, 0.0, 0.0], 0.0, 1.0)] * 4):
+            with pytest.raises(ValueError):
+                run_round(ring_topology(4, 2), self.initial_states(4), bad,
+                          cfg, F_ROT, NO_NOISE)
 
 
 class TestRunSimulation:

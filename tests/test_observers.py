@@ -19,6 +19,8 @@ from zonodiff import (
     sm_measurement_update,
     sm_time_update,
 )
+from zonodiff import observers
+from zonodiff.intersection import stack_strips
 from zonodiff.observers import fuse_update, local_update
 from conftest import certified_member, random_zonotope, sample_members
 
@@ -264,8 +266,65 @@ class TestStep:
         cfg = ObserverConfig(kind="sm", q=1, diffusion_enabled=False)
         state = NodeState(0, random_zonotope(rng, 2, 3))
         with pytest.raises(ValueError):
-            local_update(state, [Strip([1.0, 0.0], 0.0, 1.0)], cfg, F_ROT,
-                         NO_NOISE)
+            local_update(state, stack_strips([Strip([1.0, 0.0], 0.0, 1.0)], 2),
+                         cfg, F_ROT, NO_NOISE)
+
+
+class TestLocalUpdateChecks:
+    """Phase 1 checks each corrected set once for finiteness and hands out
+    read-only arrays, whether or not the Luenberger step reduces."""
+
+    @pytest.mark.parametrize("kind, q", [("sm", 20), ("iv", 40), ("iv", 4)])
+    def test_sets_are_read_only(self, kind, q, rng):
+        z, strips, _ = consistent_instance(rng)
+        cfg = ObserverConfig(kind=kind, q=q)
+        out = local_update(NodeState(0, z), stack_strips(strips, 2), cfg,
+                           F_ROT, 0.1 * np.eye(2))
+        reduced = kind == "iv" and out.n_generators < z.n_generators + 5
+        assert reduced == (q == 4)
+        for arr in (out.center, out.generators):
+            assert not arr.flags.writeable and np.isfinite(arr).all()
+
+    @pytest.mark.parametrize("kind, q", [("sm", 20), ("iv", 40), ("iv", 4)])
+    def test_non_finite_set_rejected(self, kind, q, rng, monkeypatch):
+        # One generator made infinite after the correction: the sm set and
+        # an unreduced iv set are checked as returned, a reduced one by
+        # reduce (whose arithmetic on inf warns first).
+        z, strips, _ = consistent_instance(rng)
+        correct = observers.correct
+
+        def broken(*args):
+            center, gens = correct(*args)
+            gens[0, 0] = np.inf
+            return center, gens
+
+        monkeypatch.setattr(observers, "correct", broken)
+        cfg = ObserverConfig(kind=kind, q=q)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError,
+                               match="generators must contain only finite"):
+                local_update(NodeState(0, z), stack_strips(strips, 2), cfg,
+                             F_ROT, 0.1 * np.eye(2))
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_overflowing_center_rejected(self, kind, rng):
+        z, strips, _ = consistent_instance(rng)
+        cfg = ObserverConfig(kind=kind, q=4)
+        state = NodeState(0, Zonotope(1e308 * z.center, z.generators))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="center must contain only"):
+                local_update(state, stack_strips(strips, 2), cfg,
+                             8.0 * F_ROT, NO_NOISE)
+
+    def test_non_finite_noise_rejected_once_per_round(self):
+        states = [NodeState(i, Zonotope([0.0, 0.0], np.eye(2)))
+                  for i in range(2)]
+        strips = [Strip([1.0, 0.0], 0.0, 1.0)] * 2
+        for kind in ("sm", "iv"):
+            with pytest.raises(ValueError, match="process-noise generators"):
+                run_round(Topology(2, ((0, 1), (1, 0))), states, strips,
+                          ObserverConfig(kind=kind), F_ROT,
+                          np.diag([np.nan, 1.0]))
 
 
 class TestGuaranteedContainment:

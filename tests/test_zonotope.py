@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -16,7 +16,7 @@ from zonodiff import (
     vertices_2d,
 )
 from zonodiff import zonotope
-from zonodiff.zonotope import reduce_stack, stack_zonotopes
+from zonodiff.zonotope import contains_stack, reduce_stack, stack_zonotopes
 from conftest import random_zonotope, sample_members, sample_vertices
 
 F_ROT = np.array([[0.992, -0.1247], [0.1247, 0.992]])
@@ -399,6 +399,14 @@ class TestContainsPoint:
     @given(zonotopes(dim=4, max_gens=8), st.lists(
         st.floats(min_value=-1, max_value=1), min_size=8, max_size=8))
     @settings(max_examples=40, deadline=None)
+    # Members of sets with e < n that the LP rejected: the offset of
+    # c + G b is off the range of G by a rounding of c, and HiGHS's
+    # presolve fixed b from the row with the tiny entry.
+    @example(Zonotope(np.zeros(4), [[1.0, 1.0, 1.0], [0.25, 0.0, 2.0],
+                                    [1e-9, 0.0, 1.0], [4.0, 0.25, 0.0]]),
+             [1.0] + [0.0] * 7)
+    @example(Zonotope([4.0, 0.0, 0.0, 0.0], [[1e-8], [0.0], [0.0], [3.0]]),
+             [0.5] + [0.0] * 7)
     def test_members_by_construction_4d(self, z, beta):
         b = np.array(beta[: z.n_generators])
         assert contains_point(z, z.center + z.generators @ b, 1e-7)
@@ -452,7 +460,9 @@ class TestContainsPoint:
                     assert contains_point(z, p, 1e-9)
                     assert not contains_point(
                         z, p + 1e-3 * off_range_direction(z), 1e-9)
-                    checks += 2
+                    # The column screen certifies the members of the
+                    # full-column-rank set with e < n before the LP.
+                    checks += 1 if z.n_generators < n else 2
         many = random_zonotope(rng, 3, 64)  # C(64, 2) = 2016 subsets
         for p in sample_members(rng, many, 2):
             assert contains_point(many, p, 1e-9)
@@ -692,6 +702,153 @@ class TestContainsPointScreensAndScale:
             assert not contains_point(z, np.full(n, 1e300))
             monkeypatch.undo()
             assert contains_point(z, z.generators @ rng.uniform(-1, 1, 8))
+
+
+class TestColumnScreen:
+    """The least-squares screen of sets with fewer generators than
+    dimensions: it certifies members up to rounding and nothing else."""
+
+    @pytest.mark.parametrize("n, e", [(3, 1), (3, 2), (4, 3), (6, 2)])
+    def test_certifies_members_only(self, n, e, rng):
+        certified = 0
+        for kappa in (1.0, 1e3, 1e8):
+            for scale in (1e-8, 1.0, 1e8):
+                # Full column rank with condition number kappa.
+                u = np.linalg.qr(rng.normal(size=(n, e)))[0]
+                v = np.linalg.qr(rng.normal(size=(e, e)))[0]
+                gens = scale * (u * np.logspace(0, -np.log10(kappa), e)) @ v.T
+                z = Zonotope(np.zeros(n), gens)
+                unit = unit_scaled(gens)
+                k = math.frexp(np.abs(gens).max())[1]
+                away = off_range_direction(z) * np.abs(gens).max()
+                for b in rng.uniform(-1, 1, (10, e)):
+                    for gauge in (0.5, 1 - 1e-9, 1 + 1e-6):
+                        d = gauge * (gens @ b) / np.abs(b).max()
+                        if zonotope._certified_column_member(
+                                unit, np.ldexp(d, -k), 1e-9):
+                            certified += 1
+                            assert gauge < 1
+                            assert contains_point(z, d, 1e-9)
+                        # A point off the range by 1e-9 of the set's size,
+                        # far above rounding, is never certified.
+                        off = np.ldexp(d + 1e-9 * away, -k)
+                        assert not zonotope._certified_column_member(
+                            unit, off, 1e-9)
+        assert certified > 100
+
+    def test_rank_deficient_columns_not_certified(self, rng):
+        flat = np.outer(rng.normal(size=4), [1.0, 2.0, -1.0])
+        assert not zonotope._certified_column_member(
+            unit_scaled(flat), np.zeros(4), 1e-9)
+
+
+class TestOverflowingOffset:
+    """Centers and points near +-1e308, whose offset x - c overflows. The
+    suite turns RuntimeWarnings into errors, so these tests also check
+    that no warning is emitted."""
+
+    GENS = np.array([[1.2e308, 1.2e308], [1e308, -1e308]])
+
+    def cases(self):
+        # (zonotope, point, member): b = (-5/6, -5/6) reaches the first
+        # point; the second needs |b_2| = 4/3.
+        wide = Zonotope([1e308, 0.0], self.GENS)
+        return [(Zonotope([1e308, 0.0], np.eye(2)), [-1e308, 0.0], False),
+                (Zonotope([1e308, 0.0], np.eye(2)), [-1e308, 1.0], False),
+                (wide, [-1e308, 0.0], True),
+                (wide, [-1e308, 1e308], False),
+                (Zonotope([-1e308, 0.0, 0.0], np.eye(3)), [1e308, 0.0, 0.0],
+                 False),
+                (Zonotope.point([1e308, 0.0]), [-1e308, 0.0], False)]
+
+    def test_per_set(self):
+        for z, x, member in self.cases():
+            assert contains_point(z, x) is member
+
+    def test_stacked(self):
+        two_d = [(z, x, member) for z, x, member in self.cases()
+                 if z.dim == 2]
+        got = contains_stack([z for z, _, _ in two_d],
+                             [x for _, x, _ in two_d], 1e-9)
+        assert got.tolist() == [member for _, _, member in two_d]
+
+
+def stack_cases(rng):
+    """2-D sets and points for the stacked containment test: facet points
+    at gauges near 1, deep and far points, at scales 2^-500 to 2^500; the
+    near-rank-deficient rotated pair, which the Gram screen leaves to the
+    SVD; rank-1 sets; one generator and none."""
+    zs, points = [], []
+    for e in (2, 3, 6, 20):
+        for k in (-500, 0, 500):
+            for _ in range(3):
+                z = Zonotope(np.ldexp(rng.normal(size=2), k),
+                             np.ldexp(rng.normal(size=(2, e)), k))
+                face = facet_offset(rng, z)
+                for gauge in (0.3, 1 - 1e-9, 1 + 1e-9, 1 - 1e-14, 1 + 1e-14,
+                              1 + 1e-7, 3.0):
+                    zs.append(z)
+                    points.append(z.center + gauge * face)
+                zs += [z, z]
+                points += [z.center, z.center + np.ldexp(face, 402)]
+    for eps in np.logspace(-13, -3, 11):
+        z = Zonotope(rng.normal(size=2), rotated_pair(eps, rng.uniform(0, 6)))
+        face = facet_offset(rng, z)
+        for gauge in (1 - 1e-9, 1 + 1e-9):
+            zs.append(z)
+            points.append(z.center + gauge * face)
+    flat = Zonotope([1.0, 2.0], np.outer([1.0, 2.0], [1.0, -0.5, 2.0]))
+    zs += [flat, flat, Zonotope([0.0, 0.0], [[1.0], [1.0]]),
+           Zonotope.point([1.0, 2.0])]
+    points += [[2.0, 4.0], [2.0, 4.5], [0.5, 0.5], [1.0, 2.0]]
+    order = rng.permutation(len(zs))
+    return [zs[i] for i in order], np.array(points)[order]
+
+
+class TestContainsStack:
+    @pytest.mark.parametrize("entries", [1 << 18, 50])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-7])
+    def test_matches_per_set(self, entries, tol, rng, monkeypatch):
+        # Small chunks (one set of 20 generators, 12 of 2) put chunk
+        # boundaries inside every generator count.
+        zs, points = stack_cases(rng)
+        want = [contains_point(z, x, tol) for z, x in zip(zs, points)]
+        monkeypatch.setattr(zonotope, "_STACK_ENTRIES", entries)
+        got = contains_stack(zs, points, tol)
+        assert got.tolist() == want
+        assert 50 < sum(want) < len(want) - 50
+
+    def test_stack_decides_most_rows(self, rng, monkeypatch):
+        # Far points, the rotated pair's small eps, rank-1 sets, one
+        # generator and none go through contains_point; the stack decides
+        # the rest.
+        zs, points = stack_cases(rng)
+        per_set = []
+        real = zonotope.contains_point
+
+        def counted(z, x, tol):
+            per_set.append(z)
+            return real(z, x, tol)
+
+        monkeypatch.setattr(zonotope, "contains_point", counted)
+        contains_stack(zs, points, 1e-9)
+        # 36 far points, 4 sets with rank 1 or fewer than two generators,
+        # and some of the 22 points of rotated pairs.
+        assert 40 <= len(per_set) <= 62 and len(per_set) < len(zs) / 4
+
+    def test_other_dimensions_go_per_set(self, rng):
+        zs = [random_zonotope(rng, 3, e) for e in (2, 3, 8)]
+        points = [z.center + 0.5 * z.generators.sum(axis=1) for z in zs]
+        points += [z.center + 10 * z.generators.sum(axis=1) for z in zs]
+        got = contains_stack(zs + zs, np.array(points), 1e-9)
+        assert got.tolist() == [True] * 3 + [False] * 3
+
+    def test_rejects_non_finite_point_and_negative_tol(self, rng):
+        z = random_zonotope(rng, 2, 6)
+        with pytest.raises(ValueError, match="only finite values"):
+            contains_stack([z, z], np.array([z.center, [np.nan, 0.0]]))
+        with pytest.raises(ValueError):
+            contains_stack([z], z.center[None], -1.0)
 
 
 class TestVertices2D:
