@@ -279,20 +279,37 @@ def _cross_det(*rows):
             for i in range(len(rows))]
 
 
+_PERP = np.array([-1.0, 1.0])
+
+
 def _facet_normals(gens: np.ndarray) -> np.ndarray:
     """Normals of all hyperplanes spanned by ``n - 1`` columns of the
     ``n x e`` matrix ``gens``, one per row of the ``(m, n)`` result.
 
     Each normal is the generalized cross product of its ``n - 1``
     generators. Every facet of the zonotope is parallel to ``n - 1`` of its
-    generators, so the facet normals are among these rows.
+    generators, so the facet normals are among these rows. In 2-D they are
+    the generators' perpendiculars, and ``gens`` may be a stack ``(..., 2,
+    e)``.
     """
-    n, e = gens.shape
+    n, e = gens.shape[-2:]
     if n == 2:
-        return np.column_stack([-gens[1], gens[0]])
+        # C-ordered, as the rounding of the products depends on the layout.
+        return np.multiply(gens.swapaxes(-1, -2)[..., ::-1], _PERP, order="C")
     # rows[i][k, s]: entry i of generator k of subset s.
     rows = np.take(gens, _subsets(e, n - 1).T, axis=1)
     return np.column_stack((_cross4 if n == 4 else _cross_det)(*rows))
+
+
+def _support_test(gens: np.ndarray, d: np.ndarray, tol: float):
+    """The facet test of ``d`` against ``<0, G>``: ``|N d| <= (1 + tol)
+    sum_j |N g_j|`` for every row ``N`` of :func:`_facet_normals`. In 2-D,
+    ``gens`` and ``d`` may be stacks ``(..., 2, e)`` and ``(..., 2)``, with
+    one answer per set."""
+    normals = _facet_normals(gens)
+    lhs = np.abs(normals @ d[..., None])[..., 0]
+    rhs = np.abs(normals @ gens).sum(axis=-1)
+    return (lhs <= (1.0 + tol) * rhs).all(axis=-1)
 
 
 def _contains_lp(gens: np.ndarray, d: np.ndarray, tol: float) -> bool:
@@ -356,48 +373,10 @@ def _certified_member(gens: np.ndarray, d: np.ndarray, sv: np.ndarray) -> bool:
     return bool(np.abs(b).max() + rho / s_lo <= 1.0 - mu)
 
 
-def _certified_column_member(gens: np.ndarray, d: np.ndarray,
-                             tol: float) -> bool:
-    """Sufficient test that ``d`` is a member of ``<0, G>`` up to the
-    rounding of ``d``, for an ``n x e`` matrix ``G`` with ``e < n``.
-
-    ``b^`` are the least-squares coefficients of ``G b = d`` (LAPACK's
-    SVD-based solver), unique when ``G`` has full column rank. As in
-    :func:`_certified_member`, ``||rho^|| + 2 (e + 2) eps (||d|| +
-    sqrt(e) s_max ||b^||)`` bounds the exact residual ``||d - G b^||``,
-    with ``||G||_F <= sqrt(e) s_max``. The answer is True iff ``G`` passes
-    the rank test ``s_min > 1e-12 s_max``, ``||b^||_inf <= 1 + tol`` and
-    the computed residual ``||rho^||`` is at most ``2 (e + 2) eps (||d|| +
-    sqrt(e) s_max ||b^||)``.
-
-    What True means: ``G b^`` with ``||b^||_inf <= 1 + tol`` is a member,
-    and ``d`` is within ``4 (e + 2) eps (||d|| + ||G||_F ||b^||)`` of it,
-    a few roundings of ``d`` itself. An offset ``x - c`` of a member
-    computed in floating point is rarely in the range of ``G`` exactly, so
-    no exact test accepts it; the LP accepts residuals below its absolute
-    feasibility tolerance instead. A point farther from the range is not
-    certified and goes to the LP. The caller scales ``G`` and ``d`` by
-    one power of two to ``max |G|`` in ``[1/2, 1)`` and ``d`` within
-    ``2^+-400`` of that, so no product overflows and none that underflows
-    matters at the bound.
-    """
-    e = gens.shape[1]
-    try:
-        b, _, _, sv = np.linalg.lstsq(gens, d, rcond=None)
-    except np.linalg.LinAlgError:
-        return False
-    if not sv[-1] > 1e-12 * sv[0]:
-        return False
-    resid = d - gens @ b
-    bound = 2 * (e + 2) * _EPS * (
-        math.sqrt(d @ d) + math.sqrt(e) * sv[0] * math.sqrt(b @ b))
-    return bool(math.sqrt(resid @ resid) <= bound
-                and np.abs(b).max() <= 1.0 + tol)
-
-
-def _gram_full_rank(gens: np.ndarray) -> bool:
+def _gram_full_rank(gens: np.ndarray):
     """Sufficient test that the ``2 x e`` matrix ``gens`` passes the rank
-    test ``s_min > 1e-12 s_max`` of its singular values.
+    test ``s_min > 1e-12 s_max`` of its singular values; ``gens`` may be a
+    stack ``(..., 2, e)``, with one answer per matrix.
 
     With the Gram entries ``a = ||g_0||^2``, ``c = ||g_1||^2`` and ``b =
     g_0 . g_1`` of the rows, ``ac - b^2 = s_max^2 s_min^2`` and ``a + c =
@@ -416,70 +395,57 @@ def _gram_full_rank(gens: np.ndarray) -> bool:
     answers True: a near-rank-deficient set, where ``ac - b^2`` cancels,
     is left to the SVD.
     """
-    e = gens.shape[1]
-    (a, b), (_, c) = (gens @ gens.T).tolist()
+    e = gens.shape[-1]
+    gram = gens @ gens.swapaxes(-1, -2)
+    # One matrix reads its entries as Python floats: numpy arithmetic on
+    # them costs several times as much.
+    (a, b), (_, c) = (gram.tolist() if gram.ndim == 2
+                      else np.moveaxis(gram, (-2, -1), (0, 1)))
     s = a + c
     return a * c - b * b > (1e-8 + 4 * (e + 2) * _EPS) * s * s
+
+
+def _check_tol(tol) -> None:
+    # NaN fails both comparisons.
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
 
 
 def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     """Membership test: is there a ``b`` in ``[-1-tol, 1+tol]^e`` with ``c + G b = x``?
 
-    A full-rank zonotope (``n >= 2``, ``e >= n`` generators, smallest
-    singular value of ``G`` above ``1e-12`` times the largest) is tested
-    exactly against its facet normals: every facet is parallel to ``n - 1``
-    generators, so ``x`` is a member iff ``|N (x - c)| <= (1 + tol)
-    sum_j |N g_j|`` for the normal ``N`` of every ``(n - 1)``-subset of
-    generators (in 2-D the perpendicular of each generator). The normals are
-    explicit cofactors for ``n = 4`` and batched determinants otherwise. A
-    point set and a 1-D zonotope are compared directly. A small linear program
-    minimizing ``||b||_inf`` subject to ``G b = x - c`` decides the rest:
-    rank-deficient generator matrices, ``e < n``, and matrices with more
-    than 2 000 generator subsets.
+    ``G`` and ``d = x - c`` are scaled by one power of two to ``max |G|``
+    in ``[1/2, 1)``. The scaling is exact and every test after it is
+    invariant under it, so sets from ``2^-1000`` to ``2^1000`` give the
+    decisions of scale 1 and no product underflows or overflows. A point
+    whose scaled ``d`` reaches ``2^400`` is rejected first, as it must be
+    unless ``(1 + tol) e`` exceeds ``2^400``. Where ``x - c`` overflows,
+    the set and the point are halved first, which is exact for normal
+    numbers. A point set is compared directly. Then:
 
-    Before the rank test, ``G`` and ``d = x - c`` of a set with ``e >= n``
-    are scaled by one power of two to ``max |G|`` in ``[1/2, 1)``. The rank
-    test, the screens and the facet test are invariant under that scaling,
-    and it is exact, so no decision moves; it keeps their products of up to
-    ``n + 1`` entries clear of underflow and overflow at any scale. A point
-    whose scaled ``d`` reaches ``2^400`` is more than ``2^400 max |G|`` from
-    the center and is rejected before any product, as it must be unless
-    ``(1 + tol) e`` exceeds ``2^400``. The LP gets the unscaled ``G`` and
-    ``d``: its absolute feasibility tolerance is not scale-invariant, and
-    scaling moved some of its decisions near the boundary.
-
-    In 2-D the rank test first tries the Gram screen
-    (:func:`_gram_full_rank`): three sums and a comparison that certify
-    ``s_min > 1e-4 s_max`` for all but near-rank-deficient sets, where the
-    SVD is skipped. The screen only answers True, and the facet test after
-    it is unchanged, so no decision moves.
-
-    For ``n >= 3``, a full-rank set first tries to certify ``x`` from its
-    least-norm coefficients (:func:`_certified_member`): one ``n x n``
-    solve and a rounding bound that puts the point at least ``mu`` inside,
-    where the facet test and the LP would accept it too. The screen only
-    answers True; a point it cannot certify goes to the exact test. On one
-    thread of an x86-64 Xeon it takes about 25 us against about 150 us for
-    the facet test of a 4-state set with 20 generators, and certifies most
-    true states of a tracking run. 2-D sets never enter it.
-
-    A set with ``e < n`` generators of full column rank first tries to
-    certify ``x`` from its least-squares coefficients
-    (:func:`_certified_column_member`): it accepts a point within a few
-    roundings of ``x - c`` of a member, which the exact equation ``G b =
-    x - c`` rarely admits in floating point. It only answers True and
-    leaves the rest to the LP, as it does offsets whose largest entry is
-    more than ``2^400`` times larger or smaller than ``max |G|``.
-
-    Where ``x - c`` overflows, the set and the point are halved first,
-    which is exact for normal numbers, so the answer comes without an
-    overflow warning.
+    * ``n = 1``: the interval test ``|d| <= (1 + tol) sum_j |g_j|``.
+    * Full rank (``e >= n``, smallest singular value of ``G`` above
+      ``1e-12`` times the largest): the support test (:func:`_support_test`).
+      Every facet is parallel to ``n - 1`` generators, so ``x`` is a member
+      iff ``|N d| <= (1 + tol) sum_j |N g_j|`` for the normal ``N`` of
+      every ``(n - 1)``-subset of generators. In 2-D the Gram screen
+      (:func:`_gram_full_rank`) certifies the rank of all but
+      near-rank-deficient sets, which take the SVD. For ``n >= 3`` the
+      least-norm screen (:func:`_certified_member`) first accepts points
+      it certifies at least ``mu`` inside: about 25 us against 150 us for
+      the support test of a 4-state set with 20 generators (one thread of
+      an x86-64 Xeon). Above 2 000 subsets a linear program (HiGHS)
+      minimizing ``||b||_inf`` subject to ``G b = d`` decides, on the
+      unscaled ``G`` and ``d``.
+    * Rank-deficient sets and ``e < n``: projection onto the numerical
+      column space (:func:`_projected`). A point off it by more than a
+      relative rounding bound is rejected; the projected point and set are
+      decided in the rank ``r`` by the cases above.
 
     Raises ``ValueError`` for a non-finite point, a dimension mismatch or a
-    negative ``tol``.
+    ``tol`` that is negative or not finite.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.shape[0] != z.dim:
         raise ValueError(
@@ -492,7 +458,8 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     if not all(map(math.isfinite, coords)):
         raise ValueError("point must contain only finite values")
     # Python floats: a difference that overflows is inf, without a warning.
-    offsets = [p - c for p, c in zip(coords, z.center.tolist())]
+    center = z.center.tolist()
+    offsets = [p - c for p, c in zip(coords, center)]
     if not all(map(math.isfinite, offsets)):
         # x - c overflows. Halving the set and the point is exact for
         # entries above 2^-1021 in magnitude, and x / 2 - c / 2 is finite.
@@ -500,39 +467,83 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
             Zonotope._trusted(0.5 * z.center, 0.5 * z.generators),
             0.5 * point, tol)
     d = point - z.center
-    gens = z.generators
-    n, e = gens.shape
-    if e == 0:
+    if z.n_generators == 0:
         scale = max(1.0, float(np.max(np.abs(z.center), initial=0.0)))
         return bool(np.max(np.abs(d), initial=0.0) <= tol * scale)
-    if n == 1:
-        # A 1-D zonotope is exactly the interval of its hull.
-        return bool(abs(d[0]) <= (1.0 + tol) * np.abs(gens).sum())
+    return _member(z.generators, d, max(map(abs, offsets)),
+                   max(map(abs, coords + center)), tol)
+
+
+def _member(gens: np.ndarray, d: np.ndarray, far: float, reach: float,
+            tol: float) -> bool:
+    # contains_point for e >= 1 generators and the offset d, with far the
+    # largest entry of d and reach the largest entry of x and c.
+    n, e = gens.shape
     k = math.frexp(float(np.abs(gens).max()))[1]
     # Binary exponent of the farthest offset above that of max |G|.
     # frexp(0.0) has exponent 0, which must not count as far when the
     # point is the center of a set below 2^-400.
-    far = max(map(abs, offsets))
-    spread = math.frexp(far)[1] - k if far else -math.inf
-    if e >= n:
-        if spread > 400:
-            return False
-        unit_g, unit_d = np.ldexp(gens, -k), np.ldexp(d, -k)
-        sv = (None if n == 2 and _gram_full_rank(unit_g)
-              else np.linalg.svd(unit_g, compute_uv=False))
-        if sv is None or sv[-1] > 1e-12 * sv[0]:
-            if n > 2 and _certified_member(unit_g, unit_d, sv):
-                return True
-            if n == 2 or math.comb(e, n - 1) <= _MAX_NORMALS:
-                # Support test over the facet normals.
-                normals = _facet_normals(unit_g)
-                lhs = np.abs(normals @ unit_d)
-                rhs = np.abs(normals @ unit_g).sum(axis=1)
-                return bool((lhs <= (1.0 + tol) * rhs).all())
-    elif abs(spread) <= 400 and _certified_column_member(
-            np.ldexp(gens, -k), np.ldexp(d, -k), tol):
+    if far and math.frexp(far)[1] - k > 400:
+        return False
+    unit_g, unit_d = np.ldexp(gens, -k), np.ldexp(d, -k)
+    if n == 1:
+        return bool(abs(unit_d[0]) <= (1.0 + tol) * np.abs(unit_g).sum())
+    # The Gram screen stands in for the SVD of most 2-D sets.
+    if n == 2 and e >= 2 and _gram_full_rank(unit_g):
+        return bool(_support_test(unit_g, unit_d, tol))
+    sv = np.linalg.svd(unit_g, compute_uv=False) if e >= n else None
+    if sv is None or not sv[-1] > 1e-12 * sv[0]:
+        with np.errstate(over="ignore"):  # inf accepts every residual
+            reach = float(np.ldexp(reach, -k))
+        return _projected(unit_g, unit_d, reach, tol)
+    if n > 2 and _certified_member(unit_g, unit_d, sv):
         return True
+    if n == 2 or math.comb(e, n - 1) <= _MAX_NORMALS:
+        return bool(_support_test(unit_g, unit_d, tol))
     return _contains_lp(gens, d, tol)
+
+
+def _projected(gens: np.ndarray, d: np.ndarray, reach: float,
+               tol: float) -> bool:
+    """:func:`contains_point` for an ``n x e`` matrix ``G``, scaled to
+    ``max |G|`` in ``[1/2, 1)``, that is rank-deficient or has ``e < n``.
+
+    The SVD ``G = U S V^T`` gives the rank ``r``, the count of singular
+    values above ``1e-12 s_max``, and ``U_r``, their left singular vectors.
+    ``d`` is rejected when its computed residual ``||d - U_r U_r^T d||``
+    exceeds ``rho = (1 + tol) sqrt(e) (s_r+1 + g s_max) + 2 g sqrt(n)
+    reach``, with ``g = 8 (n + e) eps``, ``s_r+1`` the largest singular
+    value left out (0 if none) and ``reach`` the largest entry of ``x`` and
+    ``c`` at the scale of ``G``. Otherwise ``<0, U_r^T G>`` and ``U_r^T d``
+    are decided in dimension ``r``; ``r = 0`` means ``G = 0``.
+
+    Why rho: a member ``d = G b`` has ``||b|| <= (1 + tol) sqrt(e)``. The
+    SVD is backward stable, exact for ``G + E`` with ``||E||`` a small
+    multiple of ``eps s_max`` (below ``g s_max``), and ``U_r`` is
+    orthonormal to a few ``eps``, so the residual of ``G b`` is at most
+    ``(s_r+1 + g s_max) ||b||``. ``x`` as computed from ``c + G b``, ``d =
+    x - c`` and the residual's products each round by a few ``eps (|x| +
+    |c|)`` per entry, within ``2 g sqrt(n) reach``. Every term scales with
+    ``G``, ``x`` and ``c``, so a joint power-of-two scaling moves no
+    decision; ``reach = inf`` (overflow at this scale) accepts every
+    residual, as the exact bound would. A point that passes is decided
+    against ``<c, U_r U_r^T G>``: ``G`` less its part off the column space,
+    of norm ``s_r+1 <= 1e-12 s_max``.
+    """
+    n, e = gens.shape
+    u, sv, _ = np.linalg.svd(gens, full_matrices=False)
+    r = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+    basis = u[:, :r]
+    coords = basis.T @ d
+    resid = d - basis @ coords
+    g = 8 * (n + e) * _EPS
+    left_out = sv[r] if r < sv.shape[0] else 0.0
+    rho = ((1.0 + tol) * math.sqrt(e) * (left_out + g * sv[0])
+           + 2 * g * math.sqrt(n) * reach)
+    if math.sqrt(resid @ resid) > rho:
+        return False
+    far = max(map(abs, coords.tolist()), default=0.0)
+    return r == 0 or _member(basis.T @ gens, coords, far, far, tol)
 
 
 # The stacked containment test takes at most this many entries of facet
@@ -546,16 +557,14 @@ def contains_stack(zs, points, tol: float = 1e-9) -> np.ndarray:
     boolean array; ``points`` is an ``(len(zs), n)`` array.
 
     2-D sets with at least two generators are stacked by generator count,
-    in chunks of at most ``2^18`` facet-product entries, and each chunk
-    goes through the per-set arithmetic at once: the power-of-two scaling,
-    the far-point check, the Gram screen and the facet products, each
-    row's product with the per-set call shape. So every decision is the
-    per-set one. Far points, offsets that overflow, sets the Gram screen
-    leaves to the SVD, other dimensions and sets with fewer generators go
-    through :func:`contains_point` one by one.
+    in chunks of at most ``2^18`` facet-product entries. Each chunk is
+    scaled and checked for far points at once, then goes through the Gram
+    screen and the support test of :func:`contains_point` as a stack, so
+    every decision is the per-set one. Far points, offsets that overflow,
+    sets the Gram screen leaves to the SVD, other dimensions and sets with
+    fewer generators go through :func:`contains_point` one by one.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     points = np.asarray(points, dtype=float)
     planar = points.shape[1:] == (2,)
     out = np.zeros(len(zs), dtype=bool)
@@ -575,21 +584,20 @@ def contains_stack(zs, points, tol: float = 1e-9) -> np.ndarray:
                 np.array([zs[i].center for i in rows]),
                 np.array([zs[i].generators for i in rows]), points[rows], tol)
             out[rows[decided]] = member
-            rest += rows[~decided].tolist()
+            rest += np.delete(rows, decided).tolist()
     for i in rest:
         out[i] = contains_point(zs[i], points[i], tol)
     return out
 
 
 def _facet_stack(centers, gens, points, tol):
-    """The 2-D facet test of :func:`contains_point` for a stack of sets
-    with centers ``(B, 2)`` and generators ``(B, 2, e)``, ``e >= 2``.
+    """The 2-D test of :func:`contains_point` for a stack of sets with
+    centers ``(B, 2)`` and generators ``(B, 2, e)``, ``e >= 2``.
 
-    Returns ``(decided, member)``: ``decided`` marks the rows whose offset
-    is finite and not far and whose rank the Gram screen certifies, and
-    ``member`` holds their decisions, in row order.
+    Returns ``(decided, member)``: ``decided`` indexes the rows whose
+    offset is finite and not far and whose rank the Gram screen certifies,
+    and ``member`` holds their decisions.
     """
-    e = gens.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):
         d = points - centers
     k = np.frexp(np.abs(gens).max(axis=(1, 2)))[1]
@@ -599,18 +607,8 @@ def _facet_stack(centers, gens, points, tol):
     rows = np.flatnonzero(finite & ((far == 0.0) | (spread <= 400)))
     unit_g = np.ldexp(gens[rows], -k[rows, None, None])
     unit_d = np.ldexp(d[rows], -k[rows, None])
-    # The Gram screen of _gram_full_rank, row by row.
-    gram = unit_g @ unit_g.transpose(0, 2, 1)
-    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    s = a + c
-    full = a * c - b * b > (1e-8 + 4 * (e + 2) * _EPS) * s * s
-    rows, unit_g, unit_d = rows[full], unit_g[full], unit_d[full]
-    normals = np.stack([-unit_g[:, 1], unit_g[:, 0]], axis=2)
-    lhs = np.abs(normals @ unit_d[:, :, None])[:, :, 0]
-    rhs = np.abs(normals @ unit_g).sum(axis=2)
-    decided = np.zeros(len(gens), dtype=bool)
-    decided[rows] = True
-    return decided, (lhs <= (1.0 + tol) * rhs).all(axis=1)
+    full = _gram_full_rank(unit_g)
+    return rows[full], _support_test(unit_g[full], unit_d[full], tol)
 
 
 # The stacked collinear merge decides a whole set at once when every test

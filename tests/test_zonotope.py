@@ -427,31 +427,38 @@ class TestContainsPoint:
                 for d, tol, member in cases:
                     assert contains_point(z, z.center + d, tol) is member
                     assert zonotope._contains_lp(gens, d, tol) is member
+        # Rank-deficient sets and e < n at scale 1, with points at least
+        # 1e-6 inside, outside or off the column space: the projection
+        # decides as the LP does.
+        for gens in (rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, 7)),
+                     np.outer(rng.normal(size=n), rng.normal(size=5)),
+                     rng.normal(size=(n, n - 1))):
+            z = Zonotope(rng.normal(size=n), gens)
+            away = off_range_direction(z)
+            vertex = gens @ np.sign(rng.normal(size=n) @ gens)
+            cases = [(np.zeros(n), 0.0, True), (vertex, 1e-9, True),
+                     (1e-6 * away, 1e-9, False)]
+            for g in (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.5):
+                cases += [(g * vertex, 1e-9, g <= 1.0),
+                          (g * vertex + 1e-6 * away, 1e-9, False)]
+            for d, tol, member in cases:
+                assert contains_point(z, z.center + d, tol) is member
+                assert zonotope._contains_lp(gens, d, tol) is member
 
-    def test_lp_only_when_rank_deficient_or_e_small_or_large(
-            self, rng, monkeypatch):
+    def test_lp_only_above_2000_subsets(self, rng, monkeypatch):
+        lp_calls = []
         real_lp = zonotope._contains_lp
 
-        def no_lp(*args):
-            raise AssertionError("full-rank zonotope reached the LP")
+        def counted_lp(*args):
+            lp_calls.append(args[0].shape)
+            return real_lp(*args)
 
-        monkeypatch.setattr(zonotope, "_contains_lp", no_lp)
+        monkeypatch.setattr(zonotope, "_contains_lp", counted_lp)
         for n in (3, 4):
             z = random_zonotope(rng, n, 8)
             for p in sample_members(rng, z, 10):
                 assert contains_point(z, p, 1e-9)
             assert not contains_point(z, interval_hull(z)[1] + 0.5, 1e-9)
-
-        lp_calls = []
-
-        def counted_lp(*args):
-            lp_calls.append(args)
-            return real_lp(*args)
-
-        monkeypatch.undo()
-        monkeypatch.setattr(zonotope, "_contains_lp", counted_lp)
-        checks = 0
-        for n in (3, 4):
             basis = rng.normal(size=(n, n - 1))
             in_plane = Zonotope(rng.normal(size=n),
                                 basis @ rng.normal(size=(n - 1, 8)))
@@ -460,16 +467,15 @@ class TestContainsPoint:
                     assert contains_point(z, p, 1e-9)
                     assert not contains_point(
                         z, p + 1e-3 * off_range_direction(z), 1e-9)
-                    # The column screen certifies the members of the
-                    # full-column-rank set with e < n before the LP.
-                    checks += 1 if z.n_generators < n else 2
+        # Full-rank, rank-deficient and e < n sets: no LP.
+        assert lp_calls == []
         many = random_zonotope(rng, 3, 64)  # C(64, 2) = 2016 subsets
         for p in sample_members(rng, many, 2):
             assert contains_point(many, p, 1e-9)
         assert not contains_point(many, interval_hull(many)[1] + 0.5, 1e-9)
         # The two members are certified by the least-norm screen first; only
         # the outside point reaches the LP.
-        assert len(lp_calls) == checks + 1
+        assert lp_calls == [(3, 64)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_point(self, rng, bad):
@@ -479,7 +485,7 @@ class TestContainsPoint:
             random_zonotope(rng, 2, 6),  # 2-D facet test
             Zonotope([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]),  # zero normals
             random_zonotope(rng, 4, 20),  # screen, then facet test
-            random_zonotope(rng, 3, 2),  # e < n: LP
+            random_zonotope(rng, 3, 2),  # e < n: projection
             random_zonotope(rng, 3, 64),  # 2 016 subsets: screen, then LP
         ]
         for z in sets:
@@ -559,6 +565,15 @@ class TestContainsPoint:
         assert not contains_point(flat, [0.5, -0.5], 1e-9)
 
 
+@pytest.fixture
+def no_lp(monkeypatch):
+    """Fails any test that reaches the LP."""
+    def reached(*args):
+        raise AssertionError("the LP was reached")
+
+    monkeypatch.setattr(zonotope, "_contains_lp", reached)
+
+
 def rotated_pair(eps, angle):
     """The rotated ``[[1, 1, 2], [0, eps, -eps]]``: full rank, with a Gram
     determinant that cancels for small ``eps``."""
@@ -606,7 +621,9 @@ class TestContainsPointScreensAndScale:
                 # Unscaled at 2^+-500 the sums overflow or underflow and
                 # certify nothing; contains_point scales to max |G| ~ 1.
                 for g in (scaled, unit_scaled(scaled)):
-                    if zonotope._gram_full_rank(g):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        screened = zonotope._gram_full_rank(g)
+                    if screened:
                         certified += 1
                         assert svd_full_rank(g) and svd_full_rank(gens)
         assert certified > 100
@@ -631,20 +648,28 @@ class TestContainsPointScreensAndScale:
         assert screened == [contains_point(*case) for case in cases]
         assert len(cases) > 1000 and 0 < sum(screened) < len(cases)
 
-    @pytest.mark.parametrize("n, e", [(2, 6), (2, 20), (3, 8), (4, 20),
-                                      (5, 7)])
-    def test_decisions_invariant_under_power_of_two_scale(self, n, e, rng):
-        # Facet points at gauges around 1, a deep point and an outside
-        # point: at 2^k times the set and the point, every answer is the
-        # answer at scale 1, from 2^-1000 to 2^1000.
-        gens = rng.normal(size=(n, e))
+    @pytest.mark.parametrize(
+        "n, e, rank", [(2, 6, 2), (2, 20, 2), (3, 8, 3), (4, 20, 4),
+                       (5, 7, 5), (3, 5, 1), (4, 2, 2)],
+        ids=["2-6", "2-20", "3-8", "4-20", "5-7", "3-5-rank1", "4-2"])
+    def test_decisions_invariant_under_power_of_two_scale(self, n, e, rank,
+                                                          rng):
+        # Facet points (vertices for a degenerate set) at gauges around 1,
+        # a deep point, an outside point and points off the column space:
+        # at 2^k times the set and the point, every answer is the answer
+        # at scale 1, from 2^-1000 to 2^1000.
+        gens = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, e))
         z = Zonotope(np.zeros(n), gens)
         points = [0.3 * gens @ rng.uniform(-1, 1, e),
                   interval_hull(z)[1] * 1.01]
         for _ in range(3):
-            face = facet_offset(rng, z)
+            face = (facet_offset(rng, z) if rank == n
+                    else gens @ np.sign(rng.normal(size=n) @ gens))
             points += [g * face for g in (1 - 1e-9, 1 - 1e-14, 1 + 1e-14,
                                           1 + 1e-9)]
+        if rank < n:
+            points += [points[0] + t * off_range_direction(z)
+                       for t in (1e-14, 1e-12, 1e-9)]
         answers = [contains_point(z, d, tol) for d in points
                    for tol in (0.0, 1e-9)]
         assert 0 < sum(answers) < len(answers)
@@ -684,11 +709,34 @@ class TestContainsPointScreensAndScale:
         assert contains_point(z, 1e-3 * z.generators @ rng.uniform(-1, 1, 8))
         assert contains_point(Zonotope(np.zeros(n), scale * np.eye(n)),
                               np.zeros(n))
-        # A rank-deficient set goes to the LP after the same check.
+        # A rank-deficient set is projected after the same check.
         flat = scale * np.outer(rng.normal(size=n), rng.normal(size=5))
         z = Zonotope(np.full(n, scale), flat)
         assert contains_point(z, z.center)
         assert contains_point(z, z.center + 1e-3 * flat @ rng.uniform(-1, 1, 5))
+
+    def test_huge_rank_deficient_set_accepts_its_centre(self, no_lp):
+        # HiGHS on the unscaled 1e308 entries rejected the centre.
+        z = Zonotope([1e308, 0.0], [[1e308] * 3, [1.0, -1.0, 0.5]])
+        assert contains_point(z, z.center)
+        assert contains_point(z, z.center + [-5e307, 0.0])
+        assert not contains_point(z, z.center + [0.0, 1e300])
+
+    def test_off_line_point_rejected_at_every_scale(self, no_lp):
+        # s [2, -1, 0] is orthogonal to the line of the set. HiGHS's
+        # absolute tolerance accepted it at s = 1e-10 and 1e-8.
+        line = np.outer([1.0, 2.0, 0.5], [1.0, -2.0, 0.5, 3.0, 1.0])
+        for s in (1e-10, 1e-8, 1e-6, 1e-3, 1.0, 1e3):
+            z = Zonotope(np.zeros(3), s * line)
+            assert not contains_point(z, s * np.array([2.0, -1.0, 0.0]), 1e-9)
+            assert contains_point(z, z.generators @ np.full(5, 0.5), 1e-9)
+
+    def test_one_dimensional_sum_does_not_overflow(self):
+        # The unscaled sum of |G| overflowed, with a warning.
+        z = Zonotope([0.0], [[1e308, 1e308]])
+        assert contains_point(z, [1.5e308])
+        assert not contains_point(Zonotope([-1e308], [[1e308, 1e308]]),
+                                  [1.5e308])
 
     def test_far_point_rejected_without_products(self, rng, monkeypatch):
         # Scaled to max |G| ~ 1 these points would overflow: they are
@@ -704,13 +752,13 @@ class TestContainsPointScreensAndScale:
             assert contains_point(z, z.generators @ rng.uniform(-1, 1, 8))
 
 
-class TestColumnScreen:
-    """The least-squares screen of sets with fewer generators than
-    dimensions: it certifies members up to rounding and nothing else."""
+class TestFewerGeneratorsThanDimensions:
+    """Sets with fewer generators than dimensions, decided by projection
+    onto their column space: members up to rounding are accepted, and
+    points off the column space are rejected."""
 
     @pytest.mark.parametrize("n, e", [(3, 1), (3, 2), (4, 3), (6, 2)])
-    def test_certifies_members_only(self, n, e, rng):
-        certified = 0
+    def test_members_accepted_off_range_rejected(self, n, e, rng, no_lp):
         for kappa in (1.0, 1e3, 1e8):
             for scale in (1e-8, 1.0, 1e8):
                 # Full column rank with condition number kappa.
@@ -718,28 +766,32 @@ class TestColumnScreen:
                 v = np.linalg.qr(rng.normal(size=(e, e)))[0]
                 gens = scale * (u * np.logspace(0, -np.log10(kappa), e)) @ v.T
                 z = Zonotope(np.zeros(n), gens)
-                unit = unit_scaled(gens)
-                k = math.frexp(np.abs(gens).max())[1]
                 away = off_range_direction(z) * np.abs(gens).max()
                 for b in rng.uniform(-1, 1, (10, e)):
                     for gauge in (0.5, 1 - 1e-9, 1 + 1e-6):
                         d = gauge * (gens @ b) / np.abs(b).max()
-                        if zonotope._certified_column_member(
-                                unit, np.ldexp(d, -k), 1e-9):
-                            certified += 1
-                            assert gauge < 1
+                        # At kappa = 1e8 the rounding of the test exceeds
+                        # the margin 2e-9 of gauge 1 - 1e-9 at tol 1e-9.
+                        if gauge > 1:
+                            assert not contains_point(z, d, 1e-9)
+                        elif gauge == 0.5 or kappa <= 1e3:
                             assert contains_point(z, d, 1e-9)
                         # A point off the range by 1e-9 of the set's size,
-                        # far above rounding, is never certified.
-                        off = np.ldexp(d + 1e-9 * away, -k)
-                        assert not zonotope._certified_column_member(
-                            unit, off, 1e-9)
-        assert certified > 100
+                        # far above rounding, is rejected.
+                        assert not contains_point(z, d + 1e-9 * away, 1e-9)
 
-    def test_rank_deficient_columns_not_certified(self, rng):
+    def test_rank_deficient_columns(self, rng, no_lp):
         flat = np.outer(rng.normal(size=4), [1.0, 2.0, -1.0])
-        assert not zonotope._certified_column_member(
-            unit_scaled(flat), np.zeros(4), 1e-9)
+        z = Zonotope(np.zeros(4), flat)
+        assert contains_point(z, np.zeros(4), 1e-9)
+        assert contains_point(z, flat @ [0.5, 0.5, -0.5], 1e-9)
+        assert not contains_point(z, 1.01 * flat @ [1.0, 1.0, -1.0], 1e-9)
+        assert not contains_point(z, 1e-3 * off_range_direction(z), 1e-9)
+        # G = 0 is the point c: HiGHS accepted offsets below its absolute
+        # tolerance.
+        zero = Zonotope([1.0, 2.0], np.zeros((2, 3)))
+        assert contains_point(zero, [1.0, 2.0], 0.0)
+        assert not contains_point(zero, [1.0, 2.0 + 1e-9], 1e-9)
 
 
 class TestOverflowingOffset:
@@ -847,8 +899,13 @@ class TestContainsStack:
         z = random_zonotope(rng, 2, 6)
         with pytest.raises(ValueError, match="only finite values"):
             contains_stack([z, z], np.array([z.center, [np.nan, 0.0]]))
-        with pytest.raises(ValueError):
-            contains_stack([z], z.center[None], -1.0)
+        # A NaN tol rejected the set's own centre, and an infinite one
+        # accepted every point.
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                contains_stack([z], z.center[None], tol)
+            with pytest.raises(ValueError, match="tol must be finite"):
+                contains_point(z, z.center, tol)
 
 
 class TestVertices2D:
