@@ -288,12 +288,15 @@ def grid_cells() -> list[tuple[str, bool, int]]:
 def cmd_grid(cfg: RunConfig) -> int:
     """Run the 2 algorithms x {diffusion on, off} x {2, 4, 6 neighbors} grid
     on one shared trajectory and emit a combined summary CSV."""
+    if cfg.topology_file is not None:
+        raise ConfigError("grid runs the ring presets and takes no "
+                          "topology_file")
     model, _ = paper_scenario(cfg.process_noise, cfg.measurement_noise)
     trajectory = simulate(model, cfg.steps, cfg.seed)
     rows = []
     for alg, diff, k in grid_cells():
-        cell = replace(cfg, algorithm=alg, diffusion=diff, neighbors=k,
-                       topology_file=None).validate()
+        cell = replace(cfg, algorithm=alg, diffusion=diff,
+                       neighbors=k).validate()
         _, _, _, summary_rows = execute_run(cell, trajectory)
         rows.extend(summary_rows)
     _atomic_write(os.path.join(cfg.out_dir, "grid_summary.csv"),
@@ -337,29 +340,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "sensor network.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--alg", choices=["sm", "iv"], dest="algorithm")
-        p.add_argument("--diffusion", choices=["on", "off"])
-        p.add_argument("--neighbors", type=int, choices=[2, 4, 6])
-        p.add_argument("--topology-file")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--process-noise", type=float)
-        p.add_argument("--measurement-noise", type=float)
-        p.add_argument("--out", dest="out_dir",
-                       help=f"output directory (default ${ENV_OUT_DIR} or .)")
-        p.add_argument("--snapshot-every", type=int)
-        p.add_argument("--burn-in", type=int)
-        p.add_argument("--timing", action="store_true", default=None,
-                       help="record wall-clock step times (makes records.csv "
-                            "non-reproducible)")
+    def add_common(p, only=None):
+        def add(flag, **kwargs):
+            if only is None or flag in only:
+                p.add_argument(flag, **kwargs)
+
+        add("--config", help="JSON config file (flags override)")
+        add("--alg", choices=["sm", "iv"], dest="algorithm")
+        add("--diffusion", choices=["on", "off"])
+        add("--neighbors", type=int, choices=[2, 4, 6])
+        add("--topology-file")
+        add("--steps", type=int)
+        add("--seed", type=int)
+        add("--q", type=int)
+        add("--process-noise", type=float)
+        add("--measurement-noise", type=float)
+        add("--out", dest="out_dir",
+            help=f"output directory (default ${ENV_OUT_DIR} or .)")
+        add("--snapshot-every", type=int)
+        add("--burn-in", type=int)
+        add("--timing", action="store_true", default=None,
+            help="record wall-clock step times (makes records.csv "
+                 "non-reproducible)")
 
     add_common(sub.add_parser("run", help="run one configuration"))
-    add_common(sub.add_parser("grid", help="run the 2x2x3 experiment grid"))
+    # grid and bench take only the flags they read.
+    add_common(sub.add_parser("grid", help="run the 2x2x3 experiment grid"),
+               {"--config", "--steps", "--seed", "--q", "--process-noise",
+                "--measurement-noise", "--burn-in", "--out"})
     bench = sub.add_parser("bench", help="micro-benchmark the update steps")
-    add_common(bench)
+    add_common(bench, {"--config", "--seed", "--q", "--out"})
     bench.add_argument("--repetitions", type=int, default=100_000)
     rep = sub.add_parser("replay", help="re-run observers on an exported "
                                         "trajectory CSV")
@@ -370,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides_from(args: argparse.Namespace) -> dict:
     out = {k: getattr(args, k, None) for k in _CONFIG_KEYS - {"diffusion"}}
-    if args.diffusion is not None:
+    if getattr(args, "diffusion", None) is not None:
         out["diffusion"] = args.diffusion == "on"
     return out
 

@@ -223,11 +223,13 @@ def diffusion_weights(beta: np.ndarray) -> np.ndarray:
 
     ``w_j = 1 / (beta_j * sum_r 1/beta_r)``; where some ``1/beta_j`` are
     infinite (point sets: ``beta_j = 0``, or so small that ``1/beta_j``
-    overflows) all weight is split uniformly over those.
+    overflows) all weight is split uniformly over those, as it is over a
+    row whose every ``beta_j`` overflowed to infinity. A row of one member
+    gets weight 1.0 exactly: its set is only reduced.
     """
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / beta
-        points = np.isinf(inv)
+        points = np.isinf(inv) | (inv == 0.0).all(axis=-1, keepdims=True)
         inv = np.where(points, 1.0, inv)
         total = inv.sum(axis=-1, keepdims=True)
     overflow = np.isinf(total)

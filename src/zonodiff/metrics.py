@@ -15,7 +15,6 @@ from .zonotope import (
     _vertices_stack,
     f_radius,
     interval_hull,
-    vertices_2d,
 )
 
 __all__ = [
@@ -39,19 +38,15 @@ def hausdorff_2d(a: Zonotope, b: Zonotope) -> float:
     Computed over the discrete vertex sets (not the filled polygons), which
     is the cross-node agreement measure used in the evaluation tables.
     """
-    return _vertex_hausdorff(vertices_2d(a), vertices_2d(b))
-
-
-def _vertex_hausdorff(va: np.ndarray, vb: np.ndarray) -> float:
-    d = cdist(va, vb)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(_pairs_hausdorff(_vertices_stack([a, b]), [(0, 1)])[0])
 
 
 def _pairs_hausdorff(verts, pairs) -> np.ndarray:
-    """:func:`_vertex_hausdorff` of ``(verts[a], verts[b])`` for every pair
-    ``(a, b)``: one ``cdist`` per pair, then the minima and maxima of all
-    the distance matrices at once. Min and max are exact, so each value is
-    the per-pair one bit for bit."""
+    """Hausdorff distance between the vertex arrays ``verts[a]`` and
+    ``verts[b]`` for every pair ``(a, b)``: one ``cdist`` per pair, then the
+    minima and maxima of all the distance matrices at once. Min and max are
+    exact, so the values do not depend on which pairs are reduced
+    together."""
     dists = [cdist(verts[a], verts[b]) for a, b in pairs]
     return np.maximum(_farthest_nearest([d.T for d in dists]),
                       _farthest_nearest(dists))

@@ -3,9 +3,10 @@
 A round has two lossless exchange phases with a barrier between them:
 phase 1 delivers each node the measurement strips of its neighborhood and
 every node computes its corrected set; phase 2 delivers the corrected sets
-and every node fuses them (diffusion) and, for the set-membership
-observer, propagates in time. Node computations within a phase are
-independent, so iteration order cannot affect results. Phase 1 runs node
+and every node fuses them (diffusion; without it, a node fuses its own set
+alone) and, for the set-membership observer, propagates in time. Node
+computations within a phase are independent, so iteration order cannot
+affect results. Phase 1 runs node
 by node through :func:`~zonodiff.observers.local_update` on the rows of
 the round's stacked strip arrays; phase 2 runs for all nodes at once on
 stacked arrays.
@@ -29,7 +30,7 @@ from .observers import (
     noise_matrix,
     time_update_stack,
 )
-from .zonotope import reduce_stack, stack_zonotopes
+from .zonotope import stack_zonotopes
 
 __all__ = [
     "Topology",
@@ -168,13 +169,13 @@ def run_round(topology: Topology, node_states, measurements,
     which also checks their dimension against the state's (``ValueError``
     otherwise). Phase 1 calls :func:`~zonodiff.observers.local_update` per
     node with its neighborhood's rows of those arrays, gathered through
-    index arrays cached on the topology. Phase 2 runs for all nodes at once
-    on stacked arrays, one batch per neighborhood size (split further only
-    while neighborhoods carry different generator counts), with the same
-    kernels as the per-node functions of :mod:`zonodiff.observers`. A
-    node's result depends only on its own neighborhood, so it is
-    independent of the batching and of node order. Callers time around
-    this function if needed.
+    index arrays cached on the topology. Phase 2 is one diffusion for all
+    nodes at once on stacked arrays, one batch per neighborhood size, or
+    with diffusion off one batch in which each node fuses its own set
+    alone, with the same kernels as the per-node functions of
+    :mod:`zonodiff.observers`. A node's result depends only on its own
+    neighborhood, so it is independent of the batching and of node order.
+    Callers time around this function if needed.
     """
     states = list(node_states)
     n_nodes = topology.n_nodes
@@ -186,25 +187,23 @@ def run_round(topology: Topology, node_states, measurements,
     dim = states[0].estimate.dim
     f_mat = np.asarray(f_matrix, dtype=float)
     noise = noise_matrix(q_generators, dim)
-    sm = cfg.kind is ObserverKind.SET_MEMBERSHIP
 
     # Phase 1: every node computes its corrected set from the delivered strips.
     gamma, y, r = stack_strips(measurements, dim)
     corrected = [local_update(state, (gamma[row], y[row], r[row]), cfg,
                               f_mat, noise)
                  for state, row in zip(states, topology._rows)]
-    own = _group(corrected)
 
-    # Phase 2 barrier: only now are corrected sets exchanged.
+    # Phase 2 barrier: only now are corrected sets exchanged. Without
+    # diffusion each node fuses its own set alone.
     if cfg.diffusion_enabled:
-        fused = _diffuse(topology, own, corrected, cfg.q)
-    elif sm:
-        fused = [(nodes[rows], c[rows], g_red) for nodes, c, g in own
-                 for rows, g_red in reduce_stack(g, cfg.q)]
+        batches = topology._batches
     else:
-        fused = own  # already reduced by the Luenberger step
-    estimates = corrected if fused is own else _materialize(fused, n_nodes)
-    if sm:
+        alone = np.arange(n_nodes)
+        batches = [(alone, alone[:, None])]
+    fused = _diffuse(batches, corrected, cfg.q)
+    estimates = _materialize(fused, n_nodes)
+    if cfg.kind is ObserverKind.SET_MEMBERSHIP:
         carried = _materialize(
             [(nodes, *time_update_stack(c, g, f_mat, noise))
              for nodes, c, g in fused], n_nodes)
@@ -219,31 +218,6 @@ def run_round(topology: Topology, node_states, measurements,
     return new_states, trace
 
 
-def _split(batches, key) -> list:
-    """``batches`` split further so that ``key(nodes, nbrs)``, one value per
-    node, is constant within each batch."""
-    out = []
-    for nodes, nbrs in batches:
-        k = key(nodes, nbrs)
-        if (k == k[0]).all():
-            out.append((nodes, nbrs))
-        else:
-            out += [(nodes[k == v], nbrs[k == v]) for v in np.unique(k)]
-    return out
-
-
-def _group(zs) -> list:
-    """``(nodes, centers, gens)`` groups of per-node zonotopes, one per
-    generator count."""
-    widths = np.array([z.n_generators for z in zs])
-    out = []
-    for w in np.unique(widths):
-        nodes = np.flatnonzero(widths == w)
-        out.append((nodes, np.stack([zs[i].center for i in nodes]),
-                    np.stack([zs[i].generators for i in nodes])))
-    return out
-
-
 def _materialize(groups, n_nodes: int) -> list:
     """Per-node zonotopes, in node order, from ``(nodes, centers, gens)``
     groups that cover every node once."""
@@ -254,29 +228,26 @@ def _materialize(groups, n_nodes: int) -> list:
     return out
 
 
-def _diffuse(topology: Topology, own, corrected, q: int) -> list:
-    """Diffusion of every neighborhood's corrected sets: the members are
-    gathered through the neighbor index arrays from one side-by-side store
-    of all corrected generators."""
-    n_nodes = topology.n_nodes
-    centers = np.empty((n_nodes, own[0][1].shape[1]))
-    beta = np.empty(n_nodes)
-    widths = np.empty(n_nodes, dtype=int)
-    for nodes, c, g in own:
-        centers[nodes] = c
-        beta[nodes] = squared_f_radius(g)
-        widths[nodes] = g.shape[2]
+def _diffuse(batches, corrected, q: int) -> list:
+    """Diffusion of the corrected sets over ``(nodes, neighbors)`` batches,
+    split by total generator count: each row's members are gathered from
+    one side-by-side store of all corrected generators."""
+    centers = np.stack([z.center for z in corrected])
+    beta = np.array([squared_f_radius(z.generators) for z in corrected])
+    widths = np.array([z.n_generators for z in corrected])
     store = np.concatenate([z.generators for z in corrected], axis=1)
     starts = np.cumsum(widths) - widths
     fused = []
-    for nodes, nbrs in _split(topology._batches,
-                              lambda _, nbrs: widths[nbrs].sum(axis=1)):
-        member_widths = widths[nbrs]
-        cols = _member_columns(starts[nbrs], member_widths)
-        gens = np.ascontiguousarray(store[:, cols].transpose(1, 0, 2))
-        groups = diffusion_stack(beta[nbrs], centers[nbrs], member_widths,
-                                 gens, q)
-        fused += [(nodes[rows], c, g) for rows, c, g in groups]
+    for nodes, nbrs in batches:
+        total = widths[nbrs].sum(axis=1)
+        for w in np.unique(total):
+            part, members = nodes[total == w], nbrs[total == w]
+            member_widths = widths[members]
+            cols = _member_columns(starts[members], member_widths)
+            gens = np.ascontiguousarray(store[:, cols].transpose(1, 0, 2))
+            groups = diffusion_stack(beta[members], centers[members],
+                                     member_widths, gens, q)
+            fused += [(part[rows], c, g) for rows, c, g in groups]
     return fused
 
 

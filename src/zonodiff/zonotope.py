@@ -421,8 +421,11 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
     whose scaled ``d`` reaches ``2^400`` is rejected first, as it must be
     unless ``(1 + tol) e`` exceeds ``2^400``. Where ``x - c`` overflows,
     the set and the point are halved first, which is exact for normal
-    numbers. A point set is compared directly. Then:
+    numbers. Then:
 
+    * ``G = 0``, ``e = 0`` included: scaled to ``max(|x|, |c|)`` instead
+      and decided by the rank-0 case of :func:`_projected`, ``||x - c|| <=
+      16 n sqrt(n) eps max(|x|, |c|)``, whatever ``tol``.
     * ``n = 1``: the interval test ``|d| <= (1 + tol) sum_j |g_j|``.
     * Full rank (``e >= n``, smallest singular value of ``G`` above
       ``1e-12`` times the largest): the support test (:func:`_support_test`).
@@ -467,19 +470,23 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
             Zonotope._trusted(0.5 * z.center, 0.5 * z.generators),
             0.5 * point, tol)
     d = point - z.center
-    if z.n_generators == 0:
-        scale = max(1.0, float(np.max(np.abs(z.center), initial=0.0)))
-        return bool(np.max(np.abs(d), initial=0.0) <= tol * scale)
     return _member(z.generators, d, max(map(abs, offsets)),
                    max(map(abs, coords + center)), tol)
 
 
 def _member(gens: np.ndarray, d: np.ndarray, far: float, reach: float,
             tol: float) -> bool:
-    # contains_point for e >= 1 generators and the offset d, with far the
-    # largest entry of d and reach the largest entry of x and c.
+    # contains_point for the offset d, with far the largest entry of d and
+    # reach the largest entry of x and c.
     n, e = gens.shape
-    k = math.frexp(float(np.abs(gens).max()))[1]
+    top = float(np.abs(gens).max(initial=0.0))
+    if top == 0.0:
+        # No columns: the bound must not depend on e. Scaled to reach: the
+        # residual norm can neither underflow nor overflow.
+        k = math.frexp(reach)[1]
+        return _projected(gens[:, :0], np.ldexp(d, -k), math.ldexp(reach, -k),
+                          tol)
+    k = math.frexp(top)[1]
     # Binary exponent of the farthest offset above that of max |G|.
     # frexp(0.0) has exponent 0, which must not count as far when the
     # point is the center of a set below 2^-400.
@@ -515,7 +522,8 @@ def _projected(gens: np.ndarray, d: np.ndarray, reach: float,
     reach``, with ``g = 8 (n + e) eps``, ``s_r+1`` the largest singular
     value left out (0 if none) and ``reach`` the largest entry of ``x`` and
     ``c`` at the scale of ``G``. Otherwise ``<0, U_r^T G>`` and ``U_r^T d``
-    are decided in dimension ``r``; ``r = 0`` means ``G = 0``.
+    are decided in dimension ``r``; ``r = 0`` means ``G = 0``, which
+    :func:`_member` passes with no columns (``e = 0``).
 
     Why rho: a member ``d = G b`` has ``||b|| <= (1 + tol) sqrt(e)``. The
     SVD is backward stable, exact for ``G + E`` with ``||E||`` a small
@@ -532,13 +540,14 @@ def _projected(gens: np.ndarray, d: np.ndarray, reach: float,
     """
     n, e = gens.shape
     u, sv, _ = np.linalg.svd(gens, full_matrices=False)
-    r = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+    s_max = sv.max(initial=0.0)
+    r = int(np.count_nonzero(sv > 1e-12 * s_max))
     basis = u[:, :r]
     coords = basis.T @ d
     resid = d - basis @ coords
     g = 8 * (n + e) * _EPS
     left_out = sv[r] if r < sv.shape[0] else 0.0
-    rho = ((1.0 + tol) * math.sqrt(e) * (left_out + g * sv[0])
+    rho = ((1.0 + tol) * math.sqrt(e) * (left_out + g * s_max)
            + 2 * g * math.sqrt(n) * reach)
     if math.sqrt(resid @ resid) > rho:
         return False

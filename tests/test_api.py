@@ -1,7 +1,8 @@
 """Size of the public API: every exported name resolves, and the top-level
-``zonodiff`` names and the run options are pinned, so any growth of the API
-is a change to this test."""
+``zonodiff`` names, the run options and each command's flags are pinned,
+so any growth of the API is a change to this test."""
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -10,7 +11,7 @@ import pkgutil
 import pytest
 
 import zonodiff
-from zonodiff.cli import RunConfig
+from zonodiff.cli import RunConfig, build_parser
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(zonodiff.__path__))
 
@@ -60,3 +61,25 @@ RUN_OPTIONS = {
 
 def test_run_options_are_pinned():
     assert {f.name for f in dataclasses.fields(RunConfig)} == RUN_OPTIONS
+
+
+RUN_FLAGS = {
+    "--config", "--alg", "--diffusion", "--neighbors", "--topology-file",
+    "--steps", "--seed", "--q", "--process-noise", "--measurement-noise",
+    "--out", "--snapshot-every", "--burn-in", "--timing",
+}
+COMMAND_FLAGS = {
+    "run": RUN_FLAGS,
+    "replay": RUN_FLAGS | {"--trajectory"},
+    "grid": {"--config", "--steps", "--seed", "--q", "--process-noise",
+             "--measurement-noise", "--burn-in", "--out"},
+    "bench": {"--config", "--seed", "--q", "--out", "--repetitions"},
+}
+
+
+def test_command_flags_are_pinned():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {s for a in p._actions for s in a.option_strings} - {
+        "-h", "--help"} for name, p in commands.choices.items()}
+    assert flags == COMMAND_FLAGS

@@ -24,7 +24,8 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-QUICK = ["--steps", "25", "--seed", "3", "--snapshot-every", "10"]
+GRID_QUICK = ["--steps", "25", "--seed", "3"]
+QUICK = GRID_QUICK + ["--snapshot-every", "10"]
 
 
 class TestConfig:
@@ -203,7 +204,7 @@ class TestCmdRun:
 
 class TestCmdGrid:
     def test_grid_summary_matches_individual_runs(self, tmp_path):
-        rc = main(["grid", "--out", str(tmp_path)] + QUICK)
+        rc = main(["grid", "--out", str(tmp_path)] + GRID_QUICK)
         assert rc == 0
         rows = read_csv(tmp_path / "grid_summary.csv")
         assert rows[0] == SUMMARY_COLUMNS
@@ -226,9 +227,25 @@ class TestCmdGrid:
     def test_grid_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["grid", "--out", str(out)] + QUICK) == 0
+            assert main(["grid", "--out", str(out)] + GRID_QUICK) == 0
         assert (a / "grid_summary.csv").read_bytes() == \
                (b / "grid_summary.csv").read_bytes()
+
+
+    def test_grid_rejects_flags_and_keys_it_does_not_read(self, tmp_path):
+        # The grid sets the algorithm, diffusion and ring itself: a
+        # topology flag or config-file key is an error, not silently run
+        # on the ring.
+        out = tmp_path / "out"
+        assert main(["grid", "--topology-file", "/nonexistent.json",
+                     "--out", str(out)] + GRID_QUICK) == 1
+        assert main(["grid", "--alg", "iv", "--out", str(out)]
+                    + GRID_QUICK) == 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"topology_file": "/nonexistent.json"}))
+        assert main(["grid", "--config", str(path), "--out", str(out)]
+                    + GRID_QUICK) == 1
+        assert not out.exists()
 
 
 class TestCmdBench:

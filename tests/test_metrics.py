@@ -109,7 +109,8 @@ class TestHausdorff:
 
     def test_step_reduction_matches_per_pair(self, rng):
         # Vertex counts from 1 (a point) to 40 differ across the pairs, so
-        # every matrix is padded in rows or columns or both.
+        # every matrix is padded in rows or columns or both; each value
+        # equals its pair reduced alone.
         for _ in range(10):
             zs = [random_zonotope(rng, 2, int(e))
                   for e in rng.integers(0, 21, size=8)]
@@ -117,8 +118,7 @@ class TestHausdorff:
             assert len({len(v) for v in verts}) > 2
             pairs = list(combinations(range(8), 2))
             got = metrics._pairs_hausdorff(verts, pairs)
-            want = [metrics._vertex_hausdorff(verts[a], verts[b])
-                    for a, b in pairs]
+            want = [hausdorff_2d(zs[a], zs[b]) for a, b in pairs]
             assert got.tolist() == want
 
 
@@ -213,7 +213,7 @@ class TestRecordsAndSummaries:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("_vertices_stack", "vertices_2d", "cdist"):
+        for name in ("_vertices_stack", "cdist"):
             monkeypatch.setattr(metrics, name,
                                 counted(name, getattr(metrics, name)))
         summarize(records, res.estimates, burn_in=5)

@@ -32,13 +32,16 @@ F_CV4 = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
                   [0.0, 0.0, 0.98, 0.0], [0.0, 0.0, 0.0, 0.98]])
 ENGINE_CASES = ["ring-k0", "ring-k2", "ring-k4", "ring-k6", "irregular",
                 "point-prior", "near-parallel", "no-noise", "diffusion-off",
-                "n4"]
+                "irregular-off", "near-parallel-off", "n4"]
 
 
 def engine_case(name, kind, rng):
     """One round's inputs: topology, priors and strips around a true state,
     plus the observer settings. Every prior contains the truth and every
-    strip is consistent with it."""
+    strip is consistent with it. A name ending in "-off" is the case before
+    it with diffusion off ("diffusion-off" is the default ring-k4 case)."""
+    diffusion = not name.endswith("-off")
+    name = name.removesuffix("-off")
     dim = 4 if name == "n4" else 2
     truth = rng.normal(size=dim) * 5.0
     topo = Topology(8, IRREGULAR) if name == "irregular" else ring_topology(
@@ -70,7 +73,7 @@ def engine_case(name, kind, rng):
     f_matrix = F_CV4 if dim == 4 else F_ROT
     q_gens = np.zeros((dim, 0)) if name == "no-noise" else 0.3 * np.eye(dim)
     cfg = ObserverConfig(kind=kind, q=6 if name == "irregular" else 20,
-                         diffusion_enabled=name != "diffusion-off")
+                         diffusion_enabled=diffusion)
     return topo, priors, strips, cfg, f_matrix, q_gens, truth
 
 
@@ -81,6 +84,32 @@ def make_strips(truth, n, r=0.5, rng=None):
         h = rows[i % 2]
         noise = 0.0 if rng is None else r * rng.uniform(-1, 1)
         out.append(Strip(h, float(h @ truth) + noise, r))
+    return out
+
+
+def round_against_reference(topo, priors, strips, cfg, f_mat, q_gens):
+    """One ``run_round`` from ``priors``, checked node by node to equal
+    ``local_update`` on the node's strips followed by ``fuse_update`` on its
+    neighborhood's sets. Returns each node's ``(next state, fused set)``."""
+    states = [NodeState(i, z) for i, z in enumerate(priors)]
+    new_states, trace = run_round(topo, states, strips, cfg, f_mat, q_gens)
+    own = [local_update(states[i],
+                        stack_strips([strips[j] for j in nbrs], priors[i].dim),
+                        cfg, f_mat, q_gens)
+           for i, nbrs in enumerate(topo.neighbors)]
+    out = []
+    for i, nbrs in enumerate(topo.neighbors):
+        nxt, fused = fuse_update(states[i], own[i],
+                                 [(j, own[j]) for j in nbrs], cfg, f_mat,
+                                 q_gens)
+        got_own = dict(trace.sets_delivered[i])[i]
+        for got, want in [(got_own, own[i]),
+                          (trace.round_estimates[i], fused),
+                          (new_states[i].estimate, nxt.estimate)]:
+            assert np.array_equal(got.center, want.center)
+            assert np.array_equal(got.generators, want.generators)
+        assert new_states[i].node_id == i
+        out.append((nxt, fused))
     return out
 
 
@@ -179,34 +208,31 @@ class TestRunRound:
         # truth.
         topo, priors, strips, cfg, f_mat, q_gens, truth = engine_case(
             case, kind, rng)
-        states = [NodeState(i, z) for i, z in enumerate(priors)]
-        new_states, trace = run_round(topo, states, strips, cfg, f_mat, q_gens)
-        own = [local_update(states[i],
-                            stack_strips([strips[j] for j in nbrs],
-                                         priors[i].dim),
-                            cfg, f_mat, q_gens)
-               for i, nbrs in enumerate(topo.neighbors)]
-        if case == "near-parallel":
+        if case.startswith("near-parallel"):
             fallback = [frobenius_optimal_gain(
                             z.generators, np.array([strips[j].h for j in nbrs]),
                             np.array([strips[j].r for j in nbrs]))[1]
                         for z, nbrs in zip(priors, topo.neighbors)]
             assert any(fallback) and not all(fallback)
         noise = q_gens @ rng.uniform(-1, 1, q_gens.shape[1])
-        for i, nbrs in enumerate(topo.neighbors):
-            nxt, fused = fuse_update(states[i], own[i],
-                                     [(j, own[j]) for j in nbrs], cfg, f_mat,
-                                     q_gens)
-            got_own = dict(trace.sets_delivered[i])[i]
-            for got, want in [(got_own, own[i]),
-                              (trace.round_estimates[i], fused),
-                              (new_states[i].estimate, nxt.estimate)]:
-                assert np.array_equal(got.center, want.center)
-                assert np.array_equal(got.generators, want.generators)
-            assert new_states[i].node_id == i
+        for nxt, fused in round_against_reference(topo, priors, strips, cfg,
+                                                  f_mat, q_gens):
             assert contains_point(nxt.estimate, f_mat @ truth + noise, 1e-7)
             if kind == "sm":
                 assert contains_point(fused, truth, 1e-7)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_huge_prior_round(self, kind):
+        # ||G||_F^2 of a 1.2e154 prior overflows to infinity, as does the
+        # gain's normal matrix; rounds with diffusion on and off both give
+        # finite sets equal to the per-node reference.
+        prior = Zonotope([0.0, 0.0], 1.2e154 * np.eye(2))
+        strips = make_strips(np.zeros(2), 4, r=1e154)
+        for diffusion in (True, False):
+            cfg = ObserverConfig(kind=kind, q=20, diffusion_enabled=diffusion)
+            with np.errstate(over="ignore"):
+                round_against_reference(ring_topology(4, 2), [prior] * 4,
+                                        strips, cfg, F_ROT, 0.3 * np.eye(2))
 
     @pytest.mark.parametrize("kind", ["sm", "iv"])
     def test_pseudo_inverse_fallback_logged(self, kind, rng, caplog):

@@ -82,10 +82,16 @@ class TestSmMeasurementUpdate:
 
 class TestSmDiffusionUpdate:
     def test_single_input_is_reduce(self, rng):
-        z = random_zonotope(rng, 2, 8)
-        out = sm_diffusion_update([z], 4)
-        assert out.n_generators <= 4
-        assert np.allclose(out.center, z.center)
+        # One set gets weight 1.0 exactly, so it is only reduced: one with
+        # at most q generators comes back unchanged. At 1.2e154 its squared
+        # F-radius overflows to infinity.
+        for z in (random_zonotope(rng, 2, 8), random_zonotope(rng, 2, 3),
+                  Zonotope([0.0, 0.0], 1.2e154 * np.eye(2))):
+            with np.errstate(over="ignore"):
+                out = sm_diffusion_update([z], 4)
+            want = reduce(z, 4) if z.n_generators > 4 else z
+            assert np.array_equal(out.center, z.center)
+            assert np.array_equal(out.generators, want.generators)
 
     def test_identical_inputs_keep_center(self, rng):
         z = random_zonotope(rng, 2, 4)

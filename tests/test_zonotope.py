@@ -731,6 +731,24 @@ class TestContainsPointScreensAndScale:
             assert not contains_point(z, s * np.array([2.0, -1.0, 0.0]), 1e-9)
             assert contains_point(z, z.generators @ np.full(5, 0.5), 1e-9)
 
+    def test_point_set_and_zero_generators_agree_at_every_scale(self):
+        # A point set and its G = 0, e = 2 twin are both decided by the
+        # rank-0 bound of the projection: x must be c up to a few ulps of
+        # max(|x|, |c|), whatever tol. The point set had an absolute floor
+        # (Zonotope.point([1e-12, 0]) accepted [0, 0]), and the twin's
+        # residual norm underflowed below 2^-600 and overflowed above 2^600.
+        cases = [([1.0, 0.0], [1.0 + off, 0.0], member)
+                 for off, member in [(0.0, True), (2.0 ** -52, True),
+                                     (2.0 ** -50, True), (2.0 ** -40, False),
+                                     (1e-10, False), (1.0, False)]]
+        cases.append(([1e-12, 0.0], [0.0, 0.0], False))
+        for k in (-600, -300, 0, 300, 600):
+            for c, x, member in cases:
+                c, x = np.ldexp(c, k), np.ldexp(x, k)
+                for z in (Zonotope.point(c), Zonotope(c, np.zeros((2, 2)))):
+                    for tol in (0.0, 1e-9, 1e-7):
+                        assert contains_point(z, x, tol) is member
+
     def test_one_dimensional_sum_does_not_overflow(self):
         # The unscaled sum of |G| overflowed, with a warning.
         z = Zonotope([0.0], [[1e308, 1e308]])
