@@ -39,6 +39,10 @@ _COND_LIMIT = 1e12
 # normal r^2 (no subnormal or zero minimum).
 _CERT_LIMIT = _COND_LIMIT / 1e4
 _TINY = float(np.finfo(float).tiny)
+# Outside these ranges of ||G||_F^2 and of r, the gain solve scales G and r
+# first.
+_TRACE_RANGE = (2.0 ** -300, 2.0 ** 300)
+_R_RANGE = (2.0 ** -150, 2.0 ** 150)
 
 
 @dataclass(frozen=True)
@@ -177,22 +181,40 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
 
     ``front`` defaults to the identity (the pure measurement update); the
     Luenberger update passes the state matrix.
+
+    ``Lam`` is invariant under a joint scaling of ``G`` and ``r``. Where
+    ``||G||_F^2`` is outside ``[2^-300, 2^300]`` or an ``r_j`` outside
+    ``[2^-150, 2^150]``, both are first scaled by one power of two to
+    ``max(|G|, r)`` in ``[1/2, 1)``, so that the normal matrix neither
+    overflows nor loses ``r^2`` to underflow. The scaling is exact, so
+    the gain is that of the problem at scale 1, bit for bit; inside those
+    ranges nothing is scaled.
     """
     gens = np.asarray(prior_generators, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
+    r = np.asarray(r, dtype=float)
+    # ||G||_F^2, overflowing to inf without a warning.
+    trace = float(np.vdot(gens, gens))
+    radii = r.tolist()
+    if not (_TRACE_RANGE[0] <= trace <= _TRACE_RANGE[1]
+            and _R_RANGE[0] <= min(radii) and max(radii) <= _R_RANGE[1]):
+        k = math.frexp(max(float(np.abs(gens).max(initial=0.0)),
+                           max(radii)))[1]
+        gens, r = np.ldexp(gens, -k), np.ldexp(r, -k)
+        trace = float(np.vdot(gens, gens))
     gg = gens @ gens.T
     gamma_gg = gamma @ gg
-    r_sq = np.asarray(r, dtype=float) ** 2
+    r_sq = r ** 2
     normal = gamma_gg @ gamma.T + np.diag(r_sq)
     rhs = gamma_gg  # transpose of the numerator
     if front is not None:
         rhs = gamma_gg @ np.asarray(front, dtype=float).T
-    if _solve_certified(gamma, gg, r_sq) or _well_conditioned(normal):
+    if _solve_certified(gamma, trace, r_sq) or _well_conditioned(normal):
         return np.linalg.solve(normal, rhs).T, False
     return rhs.T @ np.linalg.pinv(normal), True
 
 
-def _solve_certified(gamma: np.ndarray, gg: np.ndarray,
+def _solve_certified(gamma: np.ndarray, trace: float,
                      r_sq: np.ndarray) -> bool:
     # ||Gamma||_F^2 trace(G G') + sum(r^2) <= 1e8 min(r^2), a sufficient
     # condition for _well_conditioned (see frobenius_optimal_gain). Python
@@ -200,7 +222,7 @@ def _solve_certified(gamma: np.ndarray, gg: np.ndarray,
     # False.
     squares = r_sq.tolist()
     low = min(squares)
-    bound = float(np.vdot(gamma, gamma)) * sum(gg.diagonal().tolist())
+    bound = float(np.vdot(gamma, gamma)) * trace
     return low >= _TINY and bound + sum(squares) <= _CERT_LIMIT * low
 
 
@@ -213,9 +235,12 @@ def _well_conditioned(normal: np.ndarray) -> bool:
     return bool(ev[0] * _COND_LIMIT > ev[-1])
 
 
-def squared_f_radius(gens: np.ndarray) -> np.ndarray:
-    """``||G||_F^2`` of each ``n x e`` matrix in the last two axes."""
-    return (gens ** 2).sum(axis=(-2, -1))
+def squared_f_radius(mats) -> np.ndarray:
+    """``||G||_F^2`` of each ``n x e`` matrix of the sequence ``mats``, as
+    one array; inf, without a warning, where it overflows (entries near
+    ``1e154``), which :func:`diffusion_weights` handles."""
+    with np.errstate(over="ignore"):
+        return np.array([(g ** 2).sum(axis=(-2, -1)) for g in mats])
 
 
 def diffusion_weights(beta: np.ndarray) -> np.ndarray:
@@ -297,5 +322,4 @@ def optimal_diffusion_weights(zs) -> np.ndarray:
     zs = list(zs)
     if not zs:
         raise ValueError("at least one zonotope is required")
-    return diffusion_weights(np.array([squared_f_radius(z.generators)
-                                       for z in zs]))
+    return diffusion_weights(squared_f_radius([z.generators for z in zs]))

@@ -233,7 +233,7 @@ def _diffuse(batches, corrected, q: int) -> list:
     split by total generator count: each row's members are gathered from
     one side-by-side store of all corrected generators."""
     centers = np.stack([z.center for z in corrected])
-    beta = np.array([squared_f_radius(z.generators) for z in corrected])
+    beta = squared_f_radius([z.generators for z in corrected])
     widths = np.array([z.n_generators for z in corrected])
     store = np.concatenate([z.generators for z in corrected], axis=1)
     starts = np.cumsum(widths) - widths

@@ -186,7 +186,7 @@ def sm_diffusion_update(shared, q: int) -> Zonotope:
     check_budget(q, dim)
     gens = [z.generators for z in shared]
     [(_, center, out)] = diffusion_stack(
-        np.array([squared_f_radius(g) for g in gens])[None],
+        squared_f_radius(gens)[None],
         np.stack([z.center for z in shared])[None],
         np.array([g.shape[1] for g in gens])[None],
         np.hstack(gens)[None], q)

@@ -56,8 +56,6 @@ class SystemModel:
         if f.shape[0] != f.shape[1] or not np.all(np.isfinite(f)):
             raise ValueError("F must be a finite square matrix")
         qg = noise_matrix(np.array(self.q_generators, dtype=float), f.shape[0])
-        if not np.all(np.isfinite(qg)):
-            raise ValueError("process-noise generators must be finite")
         x0 = np.array(self.true_initial_state, dtype=float).reshape(-1)
         if x0.shape[0] != f.shape[0]:
             raise ValueError("true initial state does not match the state")

@@ -620,95 +620,53 @@ def _facet_stack(centers, gens, points, tol):
     return rows[full], _support_test(unit_g[full], unit_d[full], tol)
 
 
-# The stacked collinear merge decides a whole set at once when every test
-# between angle-sorted neighbors is clearly on one side of the sequential
-# rule (merge when a . b > 0 and the relative cross |a x b| / (|a| |b|) is
-# at most 1e-14). A pair splits at a relative cross of at least
-# _SPLIT_CROSS or at a nonpositive dot product. A merge group holds at most
-# _JOIN_RUN + 1 generators whose relative crosses sum to at most _JOIN_SPAN.
-# A group's running sum lies in the group's angular span, so the sequential
-# test of the next generator against it decides the same way: rounding in
-# the screen and in the running sum moves the span by at most about
-# 16 * 3.3e-16, inside the factor-4 margins. Norms in _SCREEN_NORMS keep
-# every product of the screen normal. Other sets take the sequential merge.
-_SPLIT_CROSS = 4e-14
-_JOIN_SPAN = 1e-14 / 4
-_JOIN_RUN = 16
-_SCREEN_NORMS = (2.0 ** -400, 2.0 ** 400)
+def _norms(v: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of each row of the (B, 2) array v, bit for bit. It
+    # takes a 2-vector's norm as the square root of a BLAS dot, which the
+    # stacked matmul calls too; x * x + y * y, norm(axis=1) and einsum
+    # round differently.
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _same_direction(a: np.ndarray, b: np.ndarray) -> bool:
-    # a . b > 0 and |a x b| <= 1e-14 |a| |b|. Where a product overflows
-    # (norms above about 1e154), the test is made on the unit vectors
-    # instead; every other decision is the unscaled one.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dot = a[0] * b[0] + a[1] * b[1]
-        cross = a[0] * b[1] - a[1] * b[0]
-        bound = 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
-    if not (math.isfinite(dot) and math.isfinite(cross)
-            and math.isfinite(bound)):
-        a, b = a / np.hypot(*a), b / np.hypot(*b)
-        dot = a[0] * b[0] + a[1] * b[1]
-        cross = a[0] * b[1] - a[1] * b[0]
-        bound = 1e-14
-    return bool(dot > 0 and abs(cross) <= bound)
+def _dot_cross(a: np.ndarray, b: np.ndarray):
+    # Dot and cross products of the rows of two (B, 2) arrays.
+    return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1],
+            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
 
-def _merge_collinear(gens: np.ndarray) -> np.ndarray:
-    # Merge each angle-sorted generator into the running sum before it when
-    # the two point the same way and are parallel to 1e-14 relative, so the
-    # boundary walk emits no duplicate vertices.
-    merged = [gens[:, 0].copy()]
-    for j in range(1, gens.shape[1]):
-        g = gens[:, j]
-        last = merged[-1]
-        if _same_direction(last, g):
-            merged[-1] = last + g
-        else:
-            merged.append(g.copy())
-    return np.column_stack(merged)
+def _merge(cols: np.ndarray):
+    """The collinear merge of a stack ``(B, e, 2)`` of angle-sorted
+    generators, one vectorized step per column.
 
+    Each generator is merged into the running sum of the group before it
+    when the two point the same way and are parallel to ``1e-14``
+    relative: ``a . b > 0`` and ``|a x b| <= 1e-14 |a| |b|``, as products
+    of the entries and norms as :func:`np.linalg.norm` takes them. Where a
+    product overflows (norms above about ``1e154``), the test is made on
+    the unit vectors instead; every other decision is the unscaled one.
 
-def _merge_screen(gens: np.ndarray):
-    """The collinear merge of a stack ``(B, 2, e)`` of angle-sorted
-    generator matrices, one vectorized add per column.
-
-    Returns ``(sums, join, certain)``: ``join[:, j]`` merges generator ``j``
-    into the group before it, ``sums[:, :, j]`` is the group's sum through
-    ``j``, added left to right as in :func:`_merge_collinear`, and
-    ``certain`` marks the sets whose every decision is certified to match it.
+    Returns ``(sums, join)``: ``join[:, j]`` merges generator ``j`` into the
+    group before it, and ``sums[:, j]`` is the group's sum through ``j``,
+    added left to right.
     """
-    x, y = gens[:, 0], gens[:, 1]
-    with np.errstate(all="ignore"):  # NaN tests certify nothing
-        norm = np.sqrt(x * x + y * y)
-        cross = (np.abs(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:])
-                 / (norm[:, :-1] * norm[:, 1:]))
-        split = (x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] <= 0) | (
-            cross >= _SPLIT_CROSS)
-    low, high = _SCREEN_NORMS
-    certain = ((norm >= low) & (norm <= high)).all(axis=1)
-    join = np.zeros(norm.shape, dtype=bool)
-    sums = gens.copy()
-    span = np.zeros(len(gens))
-    run = np.zeros(len(gens), dtype=int)
-    # Only columns that may merge in some set need a step; every group
-    # starts afresh after a column that splits in all sets.
-    steps = np.flatnonzero(~split.all(axis=0)) + 1
-    for j in steps:
-        if not join[:, j - 1].any():
-            span[:] = 0.0
-            run[:] = 0
-        span += cross[:, j - 1]
-        run += 1
-        merge = ~split[:, j - 1] & (span <= _JOIN_SPAN) & (run <= _JOIN_RUN)
-        certain &= merge | split[:, j - 1]
-        span[~merge] = 0.0
-        run[~merge] = 0
-        join[:, j] = merge
-        sums[:, :, j] = np.where(merge[:, None],
-                                 sums[:, :, j - 1] + gens[:, :, j],
-                                 gens[:, :, j])
-    return sums, join, certain
+    sums = cols.copy()
+    join = np.zeros(cols.shape[:2], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_norms = _norms(cols.reshape(-1, 2)).reshape(cols.shape[:2])
+        for j in range(1, cols.shape[1]):
+            a, b = sums[:, j - 1], cols[:, j]
+            dot, cross = _dot_cross(a, b)
+            bound = 1e-14 * _norms(a) * col_norms[:, j]
+            huge = ~(np.isfinite(dot) & np.isfinite(cross)
+                     & np.isfinite(bound))
+            if huge.any():
+                units = [v[huge] / np.hypot(v[huge, 0], v[huge, 1])[:, None]
+                         for v in (a, b)]
+                dot[huge], cross[huge] = _dot_cross(*units)
+                bound[huge] = 1e-14
+            join[:, j] = (dot > 0) & (np.abs(cross) <= bound)
+            sums[:, j] = np.where(join[:, j, None], a + b, b)
+    return sums, join
 
 
 def _walk(centers: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -729,27 +687,24 @@ def _zonogons(centers: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     # columns (B, e, 2), one (V, 2) array per set.
     if cols.shape[1] == 0:
         return list(centers[:, None])
-    gens = np.ascontiguousarray(cols.transpose(0, 2, 1))
-    flip = (gens[:, 1] < 0) | ((gens[:, 1] == 0) & (gens[:, 0] < 0))
-    gens = gens * np.where(flip, -1.0, 1.0)[:, None]
-    order = np.argsort(np.arctan2(gens[:, 1], gens[:, 0]), axis=1,
+    x, y = cols[:, :, 0], cols[:, :, 1]
+    flip = (y < 0) | ((y == 0) & (x < 0))
+    cols = cols * np.where(flip, -1.0, 1.0)[:, :, None]
+    order = np.argsort(np.arctan2(cols[:, :, 1], cols[:, :, 0]), axis=1,
                        kind="stable")
-    gens = np.take_along_axis(gens, order[:, None], axis=2)
-    sums, join, certain = _merge_screen(gens)
+    sums, join = _merge(np.take_along_axis(cols, order[:, :, None], axis=1))
     # The last column of each merge group holds the group's sum.
     ends = np.ones_like(join)
     ends[:, :-1] = ~join[:, 1:]
     widths = ends.sum(axis=1)
-    out = [None] * len(gens)
-    for m in np.unique(widths[certain]):
-        rows = np.flatnonzero(certain & (widths == m))
-        merged = sums.transpose(0, 2, 1)[rows][ends[rows]].reshape(-1, m, 2)
+    out = [None] * len(cols)
+    for m in np.unique(widths):
+        rows = np.flatnonzero(widths == m)
+        merged = sums[rows][ends[rows]].reshape(-1, m, 2)
         verts = _walk(centers[rows],
                       np.ascontiguousarray(merged.transpose(0, 2, 1)))
         for r, v in zip(rows, verts):
             out[r] = v
-    for r in np.flatnonzero(~certain):
-        out[r] = _walk(centers[r:r + 1], _merge_collinear(gens[r])[None])[0]
     return out
 
 
@@ -757,9 +712,11 @@ def _vertices_stack(zs) -> list[np.ndarray]:
     """:func:`vertices_2d` of every zonotope of the sequence ``zs``.
 
     The sets are stacked by their counts of generators and of nonzero
-    generators, and each stack is flipped into the upper half-plane, sorted
-    by angle, merged and walked as a whole. A set whose merge the screen
-    cannot certify is merged by the sequential :func:`_merge_collinear`.
+    generators; zero generators are dropped, as their dot product of 0
+    would merge with nothing. Each stack is flipped into the upper
+    half-plane, sorted by angle, merged (:func:`_merge`, one step per
+    generator column for the whole stack) and walked once per count of
+    merged generators.
     """
     out = [None] * len(zs)
     by_width = {}

@@ -199,11 +199,13 @@ class TestOptimalStripGain:
 
 def gain_inputs(gens, gamma, r):
     """``(certified, well_conditioned)`` of the gain solve's two tests on
-    one normal matrix, formed as :func:`frobenius_optimal_gain` forms it."""
+    one normal matrix, formed as :func:`frobenius_optimal_gain` forms it
+    from ``G`` and ``r`` as given (unscaled)."""
     gg = gens @ gens.T
     r_sq = np.asarray(r, dtype=float) ** 2
     normal = gamma @ gg @ gamma.T + np.diag(r_sq)
-    return (intersection._solve_certified(gamma, gg, r_sq),
+    return (intersection._solve_certified(gamma, float(np.vdot(gens, gens)),
+                                          r_sq),
             intersection._well_conditioned(normal))
 
 
@@ -298,6 +300,46 @@ class TestGainCertificate:
         for (lam_f, fb_f), (lam_s, fb_s) in zip(fast, slow):
             assert fb_f == fb_s
             assert lam_f.tobytes() == lam_s.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestGainScaling:
+    """The gain is invariant under a joint scaling of ``G`` and ``r``."""
+
+    GAMMA = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+    def test_hand_case_at_extreme_scales(self):
+        want = np.array([[1 / 3, 0.0, 1 / 3], [0.0, 0.5, 0.0]])
+        for s in (1.0, 1e-10, 1e100, 1.2e154, 1e200, 1e-160, 1e-200):
+            lam, fallback = frobenius_optimal_gain(s * np.eye(2), self.GAMMA,
+                                                   np.full(3, s))
+            assert not fallback
+            assert np.allclose(lam, want, rtol=1e-14, atol=1e-15)
+
+    def test_power_of_two_scales_give_the_same_bits(self, rng):
+        cases = [(np.eye(2), self.GAMMA, np.ones(3), None)]
+        for _ in range(40):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 8))
+            gens = rng.normal(size=(n, int(rng.integers(0, 25))))
+            gamma = rng.normal(size=(m, n))
+            r = rng.uniform(0.01, 10.0, m)
+            if m > 1 and rng.random() < 0.3:
+                # Redundant, narrow strips: the pseudo-inverse path.
+                gamma[1] = gamma[0]
+                r *= 1e-6
+            front = rng.normal(size=(n, n)) if rng.random() < 0.5 else None
+            cases.append((gens, gamma, r, front))
+        fallbacks = 0
+        for gens, gamma, r, front in cases:
+            want, fallback = frobenius_optimal_gain(gens, gamma, r, front)
+            fallbacks += fallback
+            for p in range(-600, 601, 50):
+                s = 2.0 ** p
+                lam, fb = frobenius_optimal_gain(s * gens, gamma, s * r,
+                                                 front)
+                assert fb == fallback
+                assert np.array_equal(lam, want)
+        assert fallbacks > 0
 
 
 class TestLuenbergerGainForm:

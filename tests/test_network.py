@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -223,16 +224,24 @@ class TestRunRound:
 
     @pytest.mark.parametrize("kind", ["sm", "iv"])
     def test_huge_prior_round(self, kind):
-        # ||G||_F^2 of a 1.2e154 prior overflows to infinity, as does the
-        # gain's normal matrix; rounds with diffusion on and off both give
-        # finite sets equal to the per-node reference.
+        # ||G||_F^2 of a 1.2e154 prior overflows to infinity; the gain is
+        # solved on scaled inputs. Rounds with diffusion on and off both
+        # give finite sets equal to the per-node reference, and the strips
+        # shrink every node's phase-1 set below the uncorrected prior.
         prior = Zonotope([0.0, 0.0], 1.2e154 * np.eye(2))
         strips = make_strips(np.zeros(2), 4, r=1e154)
+        topo = ring_topology(4, 2)
+        front = F_ROT if kind == "iv" else np.eye(2)
+        uncorrected = math.hypot(*(front @ prior.generators).ravel())
         for diffusion in (True, False):
             cfg = ObserverConfig(kind=kind, q=20, diffusion_enabled=diffusion)
-            with np.errstate(over="ignore"):
-                round_against_reference(ring_topology(4, 2), [prior] * 4,
-                                        strips, cfg, F_ROT, 0.3 * np.eye(2))
+            round_against_reference(topo, [prior] * 4, strips, cfg, F_ROT,
+                                    0.3 * np.eye(2))
+            for i, nbrs in enumerate(topo.neighbors):
+                own = local_update(NodeState(i, prior), stack_strips(
+                    [strips[j] for j in nbrs], 2), cfg, F_ROT,
+                    0.3 * np.eye(2))
+                assert math.hypot(*own.generators.ravel()) < uncorrected
 
     @pytest.mark.parametrize("kind", ["sm", "iv"])
     def test_pseudo_inverse_fallback_logged(self, kind, rng, caplog):

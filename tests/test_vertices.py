@@ -4,7 +4,8 @@
 drop zero generators, flip into the upper half-plane, stable sort by angle,
 merge neighbors left to right, walk the boundary. Merging needs a positive
 dot product as well as a relative cross product of at most 1e-14, so
-near-anti-parallel generators at the wrap of the half-plane are kept apart.
+near-anti-parallel generators at the wrap of the half-plane are kept apart;
+where the products overflow, the test is made on the unit vectors.
 The kernel must return the oracle's arrays bit for bit.
 """
 
@@ -34,9 +35,7 @@ def oracle_vertices(z):
     for j in range(1, gens.shape[1]):
         g = gens[:, j]
         last = merged[-1]
-        cross = last[0] * g[1] - last[1] * g[0]
-        if (last[0] * g[0] + last[1] * g[1] > 0 and abs(cross)
-                <= 1e-14 * np.linalg.norm(last) * np.linalg.norm(g)):
+        if same_direction(last, g):
             merged[-1] = last + g
         else:
             merged.append(g.copy())
@@ -47,6 +46,21 @@ def oracle_vertices(z):
     return np.vstack([walk, 2.0 * z.center - walk[1:m]])
 
 
+def same_direction(a, b):
+    # a . b > 0 and |a x b| <= 1e-14 |a| |b|, redone on the unit vectors
+    # where a product overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot = a[0] * b[0] + a[1] * b[1]
+        cross = a[0] * b[1] - a[1] * b[0]
+        bound = 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+    if not np.isfinite([dot, cross, bound]).all():
+        a, b = a / np.hypot(*a), b / np.hypot(*b)
+        dot = a[0] * b[0] + a[1] * b[1]
+        cross = a[0] * b[1] - a[1] * b[0]
+        bound = 1e-14
+    return dot > 0 and abs(cross) <= bound
+
+
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
@@ -55,21 +69,6 @@ def same_bits(a, b):
 def mismatches(zs, got):
     return [i for i, (z, v) in enumerate(zip(zs, got))
             if not same_bits(v, oracle_vertices(z))]
-
-
-SCREEN = zonotope._merge_screen
-
-
-def uncertified(gens):
-    # The screen's merge with no set certified: every set takes the
-    # sequential fallback.
-    sums, join, certain = SCREEN(gens)
-    return sums, join, np.zeros_like(certain)
-
-
-def forced_fallback(zs):
-    with mock.patch.object(zonotope, "_merge_screen", uncertified):
-        return zonotope._vertices_stack(zs)
 
 
 @pytest.fixture(scope="module")
@@ -89,26 +88,27 @@ def grid_cells_40():
 
 
 def test_grid_cells_match_oracle(grid_cells_40):
-    calls = []
-    sequential = zonotope._merge_collinear
+    walks = []
+    walk = zonotope._walk
 
-    def counted(gens):
-        calls.append(1)
-        return sequential(gens)
+    def counted(centers, gens):
+        walks.append(len(centers))
+        return walk(centers, gens)
 
     total = 0
-    with mock.patch.object(zonotope, "_merge_collinear", counted):
-        for zs in grid_cells_40:
-            assert mismatches(zs, zonotope._vertices_stack(zs)) == []
-            total += len(zs)
-    assert total == 12 * 40 * 8
-    # The screen certifies most sets, so the stacked merge is what is tested.
-    assert 0 < len(calls) < total // 10
-
-
-def test_grid_cells_fallback_matches_oracle(grid_cells_40):
     for zs in grid_cells_40:
-        assert mismatches(zs, forced_fallback(zs)) == []
+        walks.clear()
+        with mock.patch.object(zonotope, "_walk", counted):
+            assert mismatches(zs, zonotope._vertices_stack(zs)) == []
+        # One walk per (generator count, nonzero count, merged count)
+        # group: no set takes a path of its own.
+        groups = {(z.n_generators, np.count_nonzero(z.generators.any(axis=0)),
+                   len(oracle_vertices(z)) // 2) for z in zs}
+        groups = {g for g in groups if g[1] > 0}
+        assert len(walks) == len(groups)
+        assert sum(walks) == sum(z.generators.any() for z in zs)
+        total += len(zs)
+    assert total == 12 * 40 * 8
 
 
 TINY = st.floats(1e-16, 1e-13) | st.floats(1e-20, 1e-16)
@@ -135,7 +135,7 @@ def zonogons(draw):
     if draw(st.booleans()):
         kinds, bases = ["exact", "near"], bases[:1]  # rank 1 up to rounding
     cols = []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(kinds))
         u = bases[draw(st.integers(0, len(bases) - 1))]
         sign = draw(SIGNS)
@@ -159,17 +159,29 @@ def zonogons(draw):
 @settings(max_examples=150, deadline=None)
 def test_stacks_match_oracle(zs):
     assert mismatches(zs, zonotope._vertices_stack(zs)) == []
-    assert mismatches(zs, forced_fallback(zs)) == []
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e-130, 1e130, 1e150])
+@pytest.mark.parametrize("scale",
+                         [1e-170, 1e-130, 1e130, 1e150, 1e160, 1e300])
 def test_extreme_scales_match_oracle(rng, scale):
-    # Norms outside 2^-400..2^400 are not screened; those sets take the
-    # sequential merge.
+    # Above norms of about 1e154 the merge test is made on the unit
+    # vectors; the stack mixes those rows with unit-scale ones.
     base = rng.normal(size=(2, 3))
     gens = np.hstack([base, 2.0 * base[:, :1], base[:, 1:2] * (1 + 1e-15)])
     zs = [Zonotope(np.zeros(2), scale * gens), Zonotope(np.ones(2), gens)]
     assert mismatches(zs, zonotope._vertices_stack(zs)) == []
+
+
+def test_norms_match_linalg_norm():
+    # Rows whose entries differ by at most 10^4 in magnitude, where
+    # sqrt(x * x + y * y) rounds differently from np.linalg.norm.
+    rng = np.random.default_rng(7)
+    count = 100_000
+    rows = rng.normal(size=(count, 2)) * 10.0 ** (
+        rng.integers(-150, 151, size=(count, 1))
+        + rng.integers(-2, 3, size=(count, 2)))
+    want = np.array([np.linalg.norm(v) for v in rows])
+    assert same_bits(zonotope._norms(rows), want)
 
 
 def assert_hull(z, verts):
