@@ -93,13 +93,10 @@ def bench_observer_updates(repetitions: int, k_values=(2, 4, 6), seed=0,
     changes between passes scales a whole pass and drops out of the
     comparison between neighbor counts.
     """
-    ops = {
-        "measurement": lambda s, strips: sm_measurement_update(s, strips),
-        "diffusion": lambda sets, qq: sm_diffusion_update(sets, qq),
-        "time": lambda z, f, qg: sm_time_update(z, f, qg),
-        "luenberger": lambda s, strips, f, qg, qq:
-            iv_luenberger_update(s, strips, f, qg, qq),
-    }
+    ops = {"measurement": sm_measurement_update,
+           "diffusion": sm_diffusion_update,
+           "time": sm_time_update,
+           "luenberger": iv_luenberger_update}
     table: dict = {name: {} for name in BENCH_OPS}
     k_values = tuple(k_values)
     passes = max(1, min(200, repetitions // 100))

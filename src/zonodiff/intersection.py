@@ -40,9 +40,10 @@ _COND_LIMIT = 1e12
 _CERT_LIMIT = _COND_LIMIT / 1e4
 _TINY = float(np.finfo(float).tiny)
 # Outside these ranges of ||G||_F^2 and of r, the gain solve scales G and r
-# first.
+# first; outside that of ||Gamma||_F^2, it scales Gamma and r before that.
 _TRACE_RANGE = (2.0 ** -300, 2.0 ** 300)
 _R_RANGE = (2.0 ** -150, 2.0 ** 150)
+_GAMMA_RANGE = (2.0 ** -16, 2.0 ** 16)
 
 
 @dataclass(frozen=True)
@@ -182,18 +183,27 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
     ``front`` defaults to the identity (the pure measurement update); the
     Luenberger update passes the state matrix.
 
-    ``Lam`` is invariant under a joint scaling of ``G`` and ``r``. Where
-    ``||G||_F^2`` is outside ``[2^-300, 2^300]`` or an ``r_j`` outside
-    ``[2^-150, 2^150]``, both are first scaled by one power of two to
-    ``max(|G|, r)`` in ``[1/2, 1)``, so that the normal matrix neither
-    overflows nor loses ``r^2`` to underflow. The scaling is exact, so
-    the gain is that of the problem at scale 1, bit for bit; inside those
-    ranges nothing is scaled.
+    ``Lam`` is invariant under a joint scaling of ``G`` and ``r``, and a
+    joint scaling of ``Gamma`` and ``r`` by ``s`` divides it by ``s``.
+    Where ``||Gamma||_F^2`` is outside ``[2^-16, 2^16]``, ``Gamma`` and
+    ``r`` are first scaled by a power of two to ``max|Gamma|`` in ``[1/2,
+    1)``, and ``Lam`` back. Where ``||G||_F^2`` is then outside ``[2^-300,
+    2^300]`` or an ``r_j`` outside ``[2^-150, 2^150]``, ``G`` and ``r``
+    are scaled to ``max(|G|, r)`` in ``[1/2, 1)``, so that the normal
+    matrix neither overflows nor loses ``r^2`` to underflow. The scalings
+    are exact: the gain is that of the problem at scale 1, bit for bit.
+    One strip scaled alone is not normalised.
     """
     gens = np.asarray(prior_generators, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     r = np.asarray(r, dtype=float)
-    # ||G||_F^2, overflowing to inf without a warning.
+    # ||Gamma||_F^2 and ||G||_F^2, overflowing to inf without a warning.
+    gamma_sq = float(np.vdot(gamma, gamma))
+    shift = 0
+    if not _GAMMA_RANGE[0] <= gamma_sq <= _GAMMA_RANGE[1]:
+        shift = math.frexp(float(np.abs(gamma).max()))[1]
+        gamma, r = np.ldexp(gamma, -shift), np.ldexp(r, -shift)
+        gamma_sq = float(np.vdot(gamma, gamma))
     trace = float(np.vdot(gens, gens))
     radii = r.tolist()
     if not (_TRACE_RANGE[0] <= trace <= _TRACE_RANGE[1]
@@ -209,21 +219,22 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
     rhs = gamma_gg  # transpose of the numerator
     if front is not None:
         rhs = gamma_gg @ np.asarray(front, dtype=float).T
-    if _solve_certified(gamma, trace, r_sq) or _well_conditioned(normal):
-        return np.linalg.solve(normal, rhs).T, False
-    return rhs.T @ np.linalg.pinv(normal), True
+    if _solve_certified(gamma_sq, trace, r_sq) or _well_conditioned(normal):
+        lam, fallback = np.linalg.solve(normal, rhs).T, False
+    else:
+        lam, fallback = rhs.T @ np.linalg.pinv(normal), True
+    return (np.ldexp(lam, -shift) if shift else lam), fallback
 
 
-def _solve_certified(gamma: np.ndarray, trace: float,
-                     r_sq: np.ndarray) -> bool:
+def _solve_certified(gamma_sq: float, trace: float, r_sq: np.ndarray) -> bool:
     # ||Gamma||_F^2 trace(G G') + sum(r^2) <= 1e8 min(r^2), a sufficient
     # condition for _well_conditioned (see frobenius_optimal_gain). Python
     # floats: they overflow to inf without a warning, and NaN compares
     # False.
     squares = r_sq.tolist()
     low = min(squares)
-    bound = float(np.vdot(gamma, gamma)) * trace
-    return low >= _TINY and bound + sum(squares) <= _CERT_LIMIT * low
+    return (low >= _TINY
+            and gamma_sq * trace + sum(squares) <= _CERT_LIMIT * low)
 
 
 def _well_conditioned(normal: np.ndarray) -> bool:

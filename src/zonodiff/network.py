@@ -25,9 +25,10 @@ from .observers import (
     NodeState,
     ObserverConfig,
     ObserverKind,
+    check_budget,
     diffusion_stack,
+    dynamics,
     local_update,
-    noise_matrix,
     time_update_stack,
 )
 from .zonotope import stack_zonotopes
@@ -165,17 +166,18 @@ def run_round(topology: Topology, node_states, measurements,
     """Execute one synchronous round and return the new node states.
 
     ``measurements`` holds one :class:`~zonodiff.intersection.Strip` per
-    node. They are stacked once per round into ``(Gamma, y, r)`` arrays,
-    which also checks their dimension against the state's (``ValueError``
-    otherwise). Phase 1 calls :func:`~zonodiff.observers.local_update` per
-    node with its neighborhood's rows of those arrays, gathered through
-    index arrays cached on the topology. Phase 2 is one diffusion for all
-    nodes at once on stacked arrays, one batch per neighborhood size, or
-    with diffusion off one batch in which each node fuses its own set
-    alone, with the same kernels as the per-node functions of
-    :mod:`zonodiff.observers`. A node's result depends only on its own
-    neighborhood, so it is independent of the batching and of node order.
-    Callers time around this function if needed.
+    node. Every input is checked once, before phase 1 (``ValueError``):
+    the counts, one estimate dimension ``n``, ``cfg.q >= n``, the dynamics
+    and, as they are stacked into ``(Gamma, y, r)`` arrays, the strips.
+    Phase 1 calls :func:`~zonodiff.observers.local_update` per node with
+    its neighborhood's rows, gathered through index arrays cached on the
+    topology. Phase 2 is one diffusion for all nodes at once on stacked
+    arrays, one batch per neighborhood size, or with diffusion off one
+    batch in which each node fuses its own set alone, with the same
+    kernels as the per-node functions of :mod:`zonodiff.observers`. A
+    node's result depends only on its own neighborhood, so it is
+    independent of the batching and of node order. Callers time around
+    this function if needed.
     """
     states = list(node_states)
     n_nodes = topology.n_nodes
@@ -185,11 +187,13 @@ def run_round(topology: Topology, node_states, measurements,
     if len(measurements) != n_nodes:
         raise ValueError("one measurement strip per node is required")
     dim = states[0].estimate.dim
-    f_mat = np.asarray(f_matrix, dtype=float)
-    noise = noise_matrix(q_generators, dim)
+    if any(state.estimate.dim != dim for state in states):
+        raise ValueError("all estimates must share one dimension")
+    check_budget(cfg.q, dim)
+    f_mat, noise = dynamics(f_matrix, q_generators, dim)
+    gamma, y, r = stack_strips(measurements, dim)
 
     # Phase 1: every node computes its corrected set from the delivered strips.
-    gamma, y, r = stack_strips(measurements, dim)
     corrected = [local_update(state, (gamma[row], y[row], r[row]), cfg,
                               f_mat, noise)
                  for state, row in zip(states, topology._rows)]

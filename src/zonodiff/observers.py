@@ -122,16 +122,22 @@ def _stacked(noise: np.ndarray, batch: int) -> np.ndarray:
     return np.repeat(noise[None], batch, axis=0)
 
 
-def noise_matrix(q_generators, dim: int) -> np.ndarray:
-    """Process-noise generators as a finite ``n x e`` matrix (``e = 0``
-    allowed)."""
+def dynamics(f_matrix, q_generators, n: int) -> tuple:
+    """The state matrix as a finite ``n x n`` float array and the
+    process-noise generators as a finite ``n x p`` one (``p = 0``
+    allowed); ``ValueError`` otherwise. Every entry point that takes the
+    dynamics checks them here, once."""
+    f_mat = np.asarray(f_matrix, dtype=float)
+    if f_mat.shape != (n, n):
+        raise ValueError(f"F must have shape ({n}, {n}), not {f_mat.shape}")
+    _check_finite(f_mat, "F")
     noise = np.asarray(q_generators, dtype=float)
     if noise.size == 0:
-        noise = noise.reshape(dim, 0)
-    if noise.ndim != 2 or noise.shape[0] != dim:
+        noise = noise.reshape(n, 0)
+    if noise.ndim != 2 or noise.shape[0] != n:
         raise ValueError("process-noise generators do not match the state")
     _check_finite(noise, "process-noise generators")
-    return noise
+    return f_mat, noise
 
 
 def check_budget(q: int, dim: int) -> None:
@@ -139,40 +145,23 @@ def check_budget(q: int, dim: int) -> None:
         raise ValueError("q must be at least the state dimension")
 
 
-def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None):
-    """Center and generators of ``z`` corrected by the strips ``(gamma, y,
-    r)`` at the F-radius-optimal gain, with front matrix ``front``
-    (identity if None) and the generator block ``noise`` appended."""
+def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None) -> Zonotope:
+    """``z`` corrected by the strips ``(gamma, y, r)`` at the
+    F-radius-optimal gain, with front matrix ``front`` (identity if None)
+    and the generator block ``noise`` appended: the phase-1 body of both
+    observers. The result is checked for finiteness."""
     lam, fallback = frobenius_optimal_gain(z.generators, gamma, r, front)
     if fallback:
         _log.debug("gain solve fell back to a pseudo-inverse: the normal "
                    "matrix of %d strips is near-singular", len(r))
-    return correct(z.center, z.generators, gamma, y, r, lam, front, noise)
-
-
-def _measurement_update(z: Zonotope, gamma, y, r) -> Zonotope:
-    return checked_zonotope(*_corrected(z, gamma, y, r))
-
-
-def _luenberger_update(z: Zonotope, gamma, y, r, f_mat, noise,
-                       q: int) -> Zonotope:
-    center, gens = _corrected(z, gamma, y, r, f_mat, noise)
-    # One finiteness check per array: reduce checks the generators it
-    # builds, so only a generator matrix it returns as given is checked
-    # here.
-    _check_finite(center, "center")
-    center.flags.writeable = False
-    out = reduce(Zonotope._trusted(center, gens), q)
-    if out.generators is gens:
-        _check_finite(gens, "generators")
-        gens.flags.writeable = False
-    return out
+    return checked_zonotope(*correct(z.center, z.generators, gamma, y, r, lam,
+                                     front, noise))
 
 
 def sm_measurement_update(state: NodeState, strips) -> Zonotope:
     """Corrected set: prior intersected with all strips at the optimal gain."""
     z = state.estimate
-    return _measurement_update(z, *stack_strips(strips, z.dim))
+    return _corrected(z, *stack_strips(strips, z.dim))
 
 
 def sm_diffusion_update(shared, q: int) -> Zonotope:
@@ -195,12 +184,8 @@ def sm_diffusion_update(shared, q: int) -> Zonotope:
 
 def sm_time_update(z: Zonotope, f_matrix, q_generators) -> Zonotope:
     """Propagate through the dynamics and add the process-noise zonotope."""
-    f_mat = np.atleast_2d(np.asarray(f_matrix, dtype=float))
-    if f_mat.shape[1] != z.dim:
-        raise ValueError(f"map has {f_mat.shape[1]} columns but zonotope has "
-                         f"dimension {z.dim}")
-    center, gens = time_update_stack(z.center[None], z.generators[None], f_mat,
-                                     noise_matrix(q_generators, f_mat.shape[0]))
+    center, gens = time_update_stack(z.center[None], z.generators[None],
+                                     *dynamics(f_matrix, q_generators, z.dim))
     return stack_zonotopes(center, gens)[0]
 
 
@@ -216,31 +201,26 @@ def iv_luenberger_update(state: NodeState, strips, f_matrix, q_generators,
     ``n`` bounded by the ``Q`` generators.
     """
     z = state.estimate
-    return _luenberger_update(z, *stack_strips(strips, z.dim),
-                              np.asarray(f_matrix, dtype=float),
-                              noise_matrix(q_generators, z.dim), q)
+    f_mat, noise = dynamics(f_matrix, q_generators, z.dim)
+    return reduce(_corrected(z, *stack_strips(strips, z.dim), f_mat, noise), q)
 
 
 def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
                  q_generators) -> Zonotope:
     """Phase-1 computation: the set this node shares with its neighbors.
 
-    ``strips`` is the ``(Gamma, y, r)`` triple of the neighborhood's
-    strips, shapes ``(m, n)``, ``(m,)`` and ``(m,)``, as
-    :func:`~zonodiff.intersection.stack_strips` returns it; the network
-    round passes each node its rows of the round's stacked strip arrays.
-    ``f_matrix`` (``n x n``) and ``q_generators`` (``n x p``, as
-    :func:`noise_matrix` returns it) are float arrays, used as given. The
-    strip dimension is not checked here. Returns the corrected set of the
-    set-membership observer, or the reduced Luenberger step of the
-    interval-based one.
+    ``strips`` holds the node's rows ``(Gamma, y, r)`` of the round's
+    stacked strip arrays, shapes ``(m, n)``, ``(m,)`` and ``(m,)``;
+    ``f_matrix`` and ``q_generators`` are as :func:`dynamics` returns
+    them. :func:`~zonodiff.network.run_round` checks these inputs once per
+    round; here only the corrected set is checked, for finiteness. Returns
+    it for the set-membership observer, or reduced to ``cfg.q`` generators
+    for the interval-based one (the Luenberger step).
     """
-    z = state.estimate
-    check_budget(cfg.q, z.dim)
-    gamma, y, r = strips
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
-        return _measurement_update(z, gamma, y, r)
-    return _luenberger_update(z, gamma, y, r, f_matrix, q_generators, cfg.q)
+        return _corrected(state.estimate, *strips)
+    return reduce(_corrected(state.estimate, *strips, f_matrix, q_generators),
+                  cfg.q)
 
 
 def fuse_update(state: NodeState, own_corrected: Zonotope, shared_sets,

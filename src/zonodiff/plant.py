@@ -19,7 +19,7 @@ import numpy as np
 
 from .intersection import Strip
 from .network import ring_topology
-from .observers import noise_matrix
+from .observers import dynamics
 from .zonotope import Zonotope, contains_point
 
 __all__ = [
@@ -53,9 +53,7 @@ class SystemModel:
 
     def __post_init__(self):
         f = np.atleast_2d(np.array(self.f_matrix, dtype=float))
-        if f.shape[0] != f.shape[1] or not np.all(np.isfinite(f)):
-            raise ValueError("F must be a finite square matrix")
-        qg = noise_matrix(np.array(self.q_generators, dtype=float), f.shape[0])
+        f, qg = dynamics(f, np.array(self.q_generators, dtype=float), len(f))
         x0 = np.array(self.true_initial_state, dtype=float).reshape(-1)
         if x0.shape[0] != f.shape[0]:
             raise ValueError("true initial state does not match the state")

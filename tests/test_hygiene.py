@@ -1,5 +1,6 @@
-"""Every imported name in the package and its tests is used, and every
-private module-level name of the package is referenced in the package.
+"""Every imported name in the package and its tests is used, every
+private module-level name of the package is referenced in the package, and
+only the zonotope module builds sets that skip the constructor's checks.
 
 A name counts as used when the module reads it or lists it in ``__all__``.
 A package ``__init__`` re-exports what it imports from its own submodules,
@@ -97,3 +98,24 @@ def test_detects_unreferenced_private_name():
                   "a._via_attribute()\n_helper = None\n")
     assert unreferenced_private({"a": a, "b": b}) == [
         "a._ANN", "a._Gone", "a._LIMIT", "a._helper", "b._helper"]
+
+
+def trusted_references(tree: ast.Module) -> list[int]:
+    """Lines that name ``_trusted``, the constructor without checks."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "_trusted")
+                  or (isinstance(node, ast.Name) and node.id == "_trusted"))
+
+
+def test_only_zonotope_module_skips_set_checks():
+    # Elsewhere sets come from the checked builders (checked_zonotope,
+    # stack_zonotopes, reduce) or the public constructor.
+    found = {p.name: trusted_references(ast.parse(p.read_text(encoding="utf-8")))
+             for p in PACKAGE if p.name != "zonotope.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_detects_trusted_reference():
+    tree = ast.parse("from .zonotope import Zonotope\n"
+                     "z = Zonotope._trusted(c, g)\n_trusted = None\n")
+    assert trusted_references(tree) == [2, 3]

@@ -204,8 +204,8 @@ def gain_inputs(gens, gamma, r):
     gg = gens @ gens.T
     r_sq = np.asarray(r, dtype=float) ** 2
     normal = gamma @ gg @ gamma.T + np.diag(r_sq)
-    return (intersection._solve_certified(gamma, float(np.vdot(gens, gens)),
-                                          r_sq),
+    return (intersection._solve_certified(float(np.vdot(gamma, gamma)),
+                                          float(np.vdot(gens, gens)), r_sq),
             intersection._well_conditioned(normal))
 
 
@@ -304,7 +304,8 @@ class TestGainCertificate:
 
 @pytest.mark.filterwarnings("error")
 class TestGainScaling:
-    """The gain is invariant under a joint scaling of ``G`` and ``r``."""
+    """The gain is invariant under a joint scaling of ``G`` and ``r``, and
+    a joint scaling of ``Gamma`` and ``r`` divides it by the scale."""
 
     GAMMA = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
@@ -340,6 +341,33 @@ class TestGainScaling:
                 assert fb == fallback
                 assert np.array_equal(lam, want)
         assert fallbacks > 0
+
+    def test_strip_scale_hand_case(self):
+        # Strips at 1e200 used to square to inf, and at 1e-200 to 0; both
+        # gave an all-zero gain.
+        want = np.array([[1 / 3, 0.0, 1 / 3], [0.0, 0.5, 0.0]])
+        for s in (1e-200, 1e-100, 1e-5, 1e5, 1e100, 1e200):
+            lam, fallback = frobenius_optimal_gain(np.eye(2), s * self.GAMMA,
+                                                   np.full(3, s))
+            assert not fallback
+            assert np.allclose(s * lam, want, rtol=1e-14, atol=1e-15)
+
+    def test_strip_power_of_two_scales_give_the_same_bits(self, rng):
+        cases = [(np.eye(2), self.GAMMA, np.ones(3), None, 1)]
+        for _ in range(40):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 8))
+            gamma = rng.normal(size=(m, n))
+            r = rng.uniform(0.01, 10.0, m)
+            front = rng.normal(size=(n, n)) if rng.random() < 0.5 else None
+            cases.append((rng.normal(size=(n, 20)), gamma, r, front, 25))
+        for gens, gamma, r, front, stride in cases:
+            want, fallback = frobenius_optimal_gain(gens, gamma, r, front)
+            for p in range(-1000, 1001, stride):
+                s = 2.0 ** p
+                lam, fb = frobenius_optimal_gain(gens, s * gamma, s * r,
+                                                 front)
+                assert fb == fallback
+                assert np.array_equal(s * lam, want)
 
 
 class TestLuenbergerGainForm:

@@ -19,7 +19,7 @@ from zonodiff import (
     sm_measurement_update,
     sm_time_update,
 )
-from zonodiff import observers
+from zonodiff import network, observers
 from zonodiff.intersection import stack_strips
 from zonodiff.observers import fuse_update, local_update
 from conftest import certified_member, random_zonotope, sample_members
@@ -268,17 +268,61 @@ class TestStep:
         with pytest.raises(ValueError):
             fuse_update(NodeState(0, z), own, [(1, z)], cfg, F_ROT, NO_NOISE)
 
-    def test_q_below_dimension_rejected(self, rng):
-        cfg = ObserverConfig(kind="sm", q=1, diffusion_enabled=False)
-        state = NodeState(0, random_zonotope(rng, 2, 3))
+
+# F values every entry point that takes the dynamics rejects.
+BAD_F = {"1-d": np.ones(2), "2x3": np.ones((2, 3)), "0-d": np.array(1.0),
+         "nan": np.array([[np.nan, 0.0], [0.0, 1.0]])}
+
+
+class TestRoundInputChecks:
+    """run_round checks its inputs once, before phase 1: no local update
+    runs on malformed dynamics, mixed dimensions or a short budget."""
+
+    @staticmethod
+    def rejected_before_phase_1(monkeypatch, kind, states, f_matrix=F_ROT,
+                                q=20):
+        calls = []
+        monkeypatch.setattr(network, "local_update",
+                            lambda *args: calls.append(args))
+        strips = [Strip([1.0, 0.0], 0.0, 1.0)] * len(states)
+        topology = Topology(2, ((0, 1), (1, 0)))
         with pytest.raises(ValueError):
-            local_update(state, stack_strips([Strip([1.0, 0.0], 0.0, 1.0)], 2),
-                         cfg, F_ROT, NO_NOISE)
+            run_round(topology, states, strips, ObserverConfig(kind=kind, q=q),
+                      f_matrix, NO_NOISE)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    @pytest.mark.parametrize("f_matrix", BAD_F.values(), ids=BAD_F.keys())
+    def test_malformed_f(self, monkeypatch, kind, f_matrix):
+        states = [NodeState(i, Zonotope([0.0, 0.0], np.eye(2)))
+                  for i in range(2)]
+        self.rejected_before_phase_1(monkeypatch, kind, states, f_matrix)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_mixed_dimensions(self, monkeypatch, kind):
+        states = [NodeState(0, Zonotope([0.0, 0.0], np.eye(2))),
+                  NodeState(1, Zonotope([0.0, 0.0, 0.0], np.eye(3)))]
+        self.rejected_before_phase_1(monkeypatch, kind, states)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_q_below_dimension_rejected(self, monkeypatch, kind, rng):
+        states = [NodeState(i, random_zonotope(rng, 2, 3)) for i in range(2)]
+        self.rejected_before_phase_1(monkeypatch, kind, states, q=1)
+
+    @pytest.mark.parametrize("f_matrix", BAD_F.values(), ids=BAD_F.keys())
+    def test_per_node_updates_reject_malformed_f(self, f_matrix):
+        z = Zonotope([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError):
+            sm_time_update(z, f_matrix, NO_NOISE)
+        with pytest.raises(ValueError):
+            iv_luenberger_update(NodeState(0, z), [Strip([1.0, 0.0], 0.0, 1.0)],
+                                 f_matrix, NO_NOISE, 20)
 
 
 class TestLocalUpdateChecks:
     """Phase 1 checks each corrected set once for finiteness and hands out
-    read-only arrays, whether or not the Luenberger step reduces."""
+    read-only arrays, whether or not the Luenberger step reduces; a set the
+    Luenberger step reduces is checked before ``reduce`` too."""
 
     @pytest.mark.parametrize("kind, q", [("sm", 20), ("iv", 40), ("iv", 4)])
     def test_sets_are_read_only(self, kind, q, rng):
@@ -293,9 +337,8 @@ class TestLocalUpdateChecks:
 
     @pytest.mark.parametrize("kind, q", [("sm", 20), ("iv", 40), ("iv", 4)])
     def test_non_finite_set_rejected(self, kind, q, rng, monkeypatch):
-        # One generator made infinite after the correction: the sm set and
-        # an unreduced iv set are checked as returned, a reduced one by
-        # reduce (whose arithmetic on inf warns first).
+        # One generator made infinite after the correction: every corrected
+        # set is checked before it is returned or reduced.
         z, strips, _ = consistent_instance(rng)
         correct = observers.correct
 
@@ -306,11 +349,9 @@ class TestLocalUpdateChecks:
 
         monkeypatch.setattr(observers, "correct", broken)
         cfg = ObserverConfig(kind=kind, q=q)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError,
-                               match="generators must contain only finite"):
-                local_update(NodeState(0, z), stack_strips(strips, 2), cfg,
-                             F_ROT, 0.1 * np.eye(2))
+        with pytest.raises(ValueError, match="generators must contain only"):
+            local_update(NodeState(0, z), stack_strips(strips, 2), cfg,
+                         F_ROT, 0.1 * np.eye(2))
 
     @pytest.mark.parametrize("kind", ["sm", "iv"])
     def test_overflowing_center_rejected(self, kind, rng):
