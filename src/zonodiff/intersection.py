@@ -246,38 +246,42 @@ def _well_conditioned(normal: np.ndarray) -> bool:
     return bool(ev[0] * _COND_LIMIT > ev[-1])
 
 
-def squared_f_radius(mats) -> np.ndarray:
-    """``||G||_F^2`` of each ``n x e`` matrix of the sequence ``mats``, as
-    one array; inf, without a warning, where it overflows (entries near
-    ``1e154``), which :func:`diffusion_weights` handles."""
-    with np.errstate(over="ignore"):
-        return np.array([(g ** 2).sum(axis=(-2, -1)) for g in mats])
-
-
-def diffusion_weights(beta: np.ndarray) -> np.ndarray:
-    """Optimal weights along the last axis of ``beta = ||G_j||_F^2``.
-
-    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``; where some ``1/beta_j`` are
-    infinite (point sets: ``beta_j = 0``, or so small that ``1/beta_j``
-    overflows) all weight is split uniformly over those, as it is over a
-    row whose every ``beta_j`` overflowed to infinity. A row of one member
-    gets weight 1.0 exactly: its set is only reduced.
+def squared_f_radius(mats) -> tuple[np.ndarray, np.ndarray]:
+    """``(beta, k)`` of the matrices ``G`` of the sequence ``mats``: ``k``
+    the binary exponent of ``max |G|`` (0 for ``G = 0`` and for no
+    columns) and ``beta = ||2^-k G||_F^2``, so ``||G||_F^2 = 4^k beta`` and
+    scaling a matrix by ``2^j`` adds ``j`` to ``k`` and leaves ``beta`` bit
+    for bit. The squares are added in the order of ``(G ** 2).sum()``, so
+    ``4^k beta`` is that sum wherever it neither overflows nor underflows.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / beta
-        points = np.isinf(inv) | (inv == 0.0).all(axis=-1, keepdims=True)
-        inv = np.where(points, 1.0, inv)
-        total = inv.sum(axis=-1, keepdims=True)
-    overflow = np.isinf(total)
-    if overflow.any():
-        # Finite 1/beta whose sum overflows (beta near 1e-308): those rows
-        # are divided by their largest 1/beta first, the others by 1, which
-        # leaves them bit for bit as they were.
-        inv = inv / np.where(overflow, inv.max(axis=-1, keepdims=True), 1.0)
-        total = inv.sum(axis=-1, keepdims=True)
+    sizes = [g.size for g in mats]
+    beta = np.empty(len(sizes))
+    k = np.empty(len(sizes), dtype=int)
+    # The matrices of one size are the rows of one C-ordered stack, each
+    # summed along its contiguous axis, which is the order of a 1-D sum.
+    for size in set(sizes):
+        rows = [i for i, s in enumerate(sizes) if s == size]
+        flat = np.array([mats[i].ravel() for i in rows])
+        k[rows] = top = np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1]
+        beta[rows] = (np.ldexp(flat, -top[:, None]) ** 2).sum(axis=1)
+    return beta, k
+
+
+def diffusion_weights(beta: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Optimal weights ``w_j = (1/b_j) / sum_r 1/b_r`` along the last axis
+    for ``b_j = ||G_j||_F^2 = 4^k_j beta_j`` (:func:`squared_f_radius`).
+    Each ``1/b_j`` is taken times ``4^min(k)``, a factor common to the row,
+    as ``4^(min k - k_j) / beta_j``: no term overflows, and the weights do
+    not depend on the scale of the sets. Point sets (``G = 0``, so ``beta =
+    0``) pin the result: all weight is split uniformly over them. A row of
+    one member gets weight 1.0 exactly: its set is only reduced.
+    """
+    points = beta == 0.0
+    inv = np.ldexp(1.0 / np.where(points, 1.0, beta),
+                   2 * (k.min(axis=-1, keepdims=True) - k))
     n_points = points.sum(axis=-1, keepdims=True)
     return np.where(n_points > 0, points / np.maximum(n_points, 1),
-                    inv / total)
+                    inv / inv.sum(axis=-1, keepdims=True))
 
 
 def combine(w, centers, gens, col_weights):
@@ -298,8 +302,8 @@ def intersect_zonotopes(zs, w) -> Zonotope:
 
     ``c' = (sum_j w_j c_j) / (sum_j w_j)`` and
     ``G' = [w_1 G_1, ..., w_m G_m] / (sum_j w_j)``. Sound for any finite
-    weight vector ``w`` with nonzero sum; cost is linear in the total
-    generator count (O(n * sum_j e_j)).
+    weight vector ``w`` with ``|sum_j w_j| > 1e-15 sum_j |w_j|``; cost is
+    linear in the total generator count (O(n * sum_j e_j)).
     """
     zs = list(zs)
     if not zs:
@@ -307,7 +311,10 @@ def intersect_zonotopes(zs, w) -> Zonotope:
     w = np.asarray(w, dtype=float).reshape(-1)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    if abs(w.sum()) <= 1e-15 * max(1.0, np.abs(w).sum()):
+    # w scaled to max |w| in [1/2, 1) gives the same set, exactly, and its
+    # sums cannot overflow.
+    w = np.ldexp(w, -np.frexp(np.abs(w).max(initial=0.0))[1])
+    if abs(w.sum()) <= 1e-15 * np.abs(w).sum():
         raise ValueError("weights must not sum to zero")
     if w.shape[0] != len(zs):
         raise ValueError(f"{w.shape[0]} weights for {len(zs)} zonotopes")
@@ -326,11 +333,11 @@ def optimal_diffusion_weights(zs) -> np.ndarray:
 
     With ``beta_j = ||G_j||_F^2`` the minimizer of
     ``sum_j beta_j w_j^2`` subject to ``sum_j w_j = 1`` is
-    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``. Point sets (``beta = 0``, or
-    so small that ``1/beta`` overflows) pin the result: all weight is split
-    uniformly over them.
+    ``w_j = 1 / (beta_j * sum_r 1/beta_r)``, the same bits for the sets
+    scaled by any one power of two (:func:`diffusion_weights`). Point sets
+    (``G = 0``) pin the result: all weight is split uniformly over them.
     """
     zs = list(zs)
     if not zs:
         raise ValueError("at least one zonotope is required")
-    return diffusion_weights(squared_f_radius([z.generators for z in zs]))
+    return diffusion_weights(*squared_f_radius([z.generators for z in zs]))

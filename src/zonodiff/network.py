@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intersection import squared_f_radius, stack_strips
+from .intersection import diffusion_weights, squared_f_radius, stack_strips
 from .observers import (
     NodeState,
     ObserverConfig,
@@ -134,11 +134,11 @@ def topology_to_json(topology: Topology) -> dict:
 def topology_from_json(data: dict) -> Topology:
     """Inverse of :func:`topology_to_json`. Raises ``ValueError`` unless
     ``data`` is an object with an integer ``n`` and a list of integer lists
-    in ``neighbors``."""
+    in ``neighbors``; JSON ``true`` and ``false`` are not integers."""
     rows = data.get("neighbors") if isinstance(data, dict) else None
-    if (not isinstance(rows, list) or not isinstance(data.get("n"), int)
+    if (not isinstance(rows, list) or type(data.get("n")) is not int
             or not all(isinstance(row, list)
-                       and all(isinstance(j, int) for j in row)
+                       and all(type(j) is int for j in row)
                        for row in rows)):
         raise ValueError('topology must be an object with an integer "n" and '
                          'a list of integer neighbor lists in "neighbors"')
@@ -237,7 +237,7 @@ def _diffuse(batches, corrected, q: int) -> list:
     split by total generator count: each row's members are gathered from
     one side-by-side store of all corrected generators."""
     centers = np.stack([z.center for z in corrected])
-    beta = squared_f_radius([z.generators for z in corrected])
+    beta, k = squared_f_radius([z.generators for z in corrected])
     widths = np.array([z.n_generators for z in corrected])
     store = np.concatenate([z.generators for z in corrected], axis=1)
     starts = np.cumsum(widths) - widths
@@ -249,8 +249,9 @@ def _diffuse(batches, corrected, q: int) -> list:
             member_widths = widths[members]
             cols = _member_columns(starts[members], member_widths)
             gens = np.ascontiguousarray(store[:, cols].transpose(1, 0, 2))
-            groups = diffusion_stack(beta[members], centers[members],
-                                     member_widths, gens, q)
+            w = diffusion_weights(beta[members], k[members])
+            groups = diffusion_stack(w, centers[members], member_widths,
+                                     gens, q)
             fused += [(part[rows], c, g) for rows, c, g in groups]
     return fused
 

@@ -29,9 +29,8 @@ import numpy as np
 from .intersection import (
     combine,
     correct,
-    diffusion_weights,
     frobenius_optimal_gain,
-    squared_f_radius,
+    optimal_diffusion_weights,
     stack_strips,
 )
 from .zonotope import (
@@ -97,15 +96,14 @@ class NodeState:
 # The per-node fusion and time update below run the same kernels on stacks
 # of one.
 
-def diffusion_stack(beta, centers, widths, gens, q) -> list:
-    """Diffusion of gathered neighborhoods: optimal weights, weighted
-    combination, reduction to ``q``.
+def diffusion_stack(w, centers, widths, gens, q) -> list:
+    """Diffusion of gathered neighborhoods at weights ``w``: weighted
+    combination, then reduction to ``q``.
 
-    Per member ``j`` of row ``b``: ``beta[b, j]`` its squared F-radius,
+    Per member ``j`` of row ``b``: ``w[b, j]`` its weight,
     ``centers[b, j]`` its center and ``widths[b, j]`` its generator count;
     ``gens[b]`` holds the members' generators side by side in member order.
     """
-    w = diffusion_weights(beta)
     col_weights = np.repeat(w.ravel(), widths.ravel()).reshape(len(w), -1)
     center, out = combine(w, centers, gens, col_weights)
     return [(rows, center[rows], g) for rows, g in reduce_stack(out, q)]
@@ -175,7 +173,7 @@ def sm_diffusion_update(shared, q: int) -> Zonotope:
     check_budget(q, dim)
     gens = [z.generators for z in shared]
     [(_, center, out)] = diffusion_stack(
-        squared_f_radius(gens)[None],
+        optimal_diffusion_weights(shared)[None],
         np.stack([z.center for z in shared])[None],
         np.array([g.shape[1] for g in gens])[None],
         np.hstack(gens)[None], q)
@@ -226,8 +224,8 @@ def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
 def fuse_update(state: NodeState, own_corrected: Zonotope, shared_sets,
                 cfg: ObserverConfig, f_matrix, q_generators
                 ) -> tuple[NodeState, Zonotope]:
-    """Phase-2 computation: diffusion (or the no-diffusion identity) plus,
-    for the set-membership observer, the time update.
+    """Phase-2 computation: diffusion (without it, fusion of the node's own
+    set alone) plus, for the set-membership observer, the time update.
 
     ``shared_sets`` are ``(source_id, Zonotope)`` pairs including this
     node's own entry, which is replaced by ``own_corrected`` so that the
@@ -240,16 +238,14 @@ def fuse_update(state: NodeState, own_corrected: Zonotope, shared_sets,
             raise ValueError("shared sets must include the node's own entry")
         sets = [own_corrected if nid == state.node_id else z
                 for nid, z in shared_sets]
-        # Both observers reduce the combined set to q generators. The
-        # weighted concatenation spreads the Frobenius mass over many
-        # near-parallel columns; carrying it unreduced both grows without
-        # bound and starves the next round's gain.
-        fused = sm_diffusion_update(sets, cfg.q)
     else:
-        if cfg.kind is ObserverKind.SET_MEMBERSHIP:
-            fused = reduce(own_corrected, cfg.q)
-        else:
-            fused = own_corrected  # already reduced by the Luenberger step
+        sets = [own_corrected]
+    # Both observers reduce the combined set to q generators. The weighted
+    # concatenation spreads the Frobenius mass over many near-parallel
+    # columns; carrying it unreduced both grows without bound and starves
+    # the next round's gain. Without diffusion the node fuses its own set
+    # alone: weight 1.0, so the set is only reduced.
+    fused = sm_diffusion_update(sets, cfg.q)
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
         nxt = sm_time_update(fused, f_matrix, q_generators)
     else:

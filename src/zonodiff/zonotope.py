@@ -628,12 +628,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _dot_cross(a: np.ndarray, b: np.ndarray):
-    # Dot and cross products of the rows of two (B, 2) arrays.
-    return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1],
-            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
-
 def _merge(cols: np.ndarray):
     """The collinear merge of a stack ``(B, e, 2)`` of angle-sorted
     generators, one vectorized step per column.
@@ -641,32 +635,27 @@ def _merge(cols: np.ndarray):
     Each generator is merged into the running sum of the group before it
     when the two point the same way and are parallel to ``1e-14``
     relative: ``a . b > 0`` and ``|a x b| <= 1e-14 |a| |b|``, as products
-    of the entries and norms as :func:`np.linalg.norm` takes them. Where a
-    product overflows (norms above about ``1e154``), the test is made on
-    the unit vectors instead; every other decision is the unscaled one.
+    of the entries and norms as :func:`np.linalg.norm` takes them, on each
+    set scaled by the power of two of its largest entry, so that scaling a
+    set does not change its decisions; the sums are scaled back, exactly.
 
     Returns ``(sums, join)``: ``join[:, j]`` merges generator ``j`` into the
     group before it, and ``sums[:, j]`` is the group's sum through ``j``,
     added left to right.
     """
+    k = np.frexp(np.abs(cols).max(axis=(1, 2)))[1][:, None, None]
+    cols = np.ldexp(cols, -k)
     sums = cols.copy()
     join = np.zeros(cols.shape[:2], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        col_norms = _norms(cols.reshape(-1, 2)).reshape(cols.shape[:2])
-        for j in range(1, cols.shape[1]):
-            a, b = sums[:, j - 1], cols[:, j]
-            dot, cross = _dot_cross(a, b)
-            bound = 1e-14 * _norms(a) * col_norms[:, j]
-            huge = ~(np.isfinite(dot) & np.isfinite(cross)
-                     & np.isfinite(bound))
-            if huge.any():
-                units = [v[huge] / np.hypot(v[huge, 0], v[huge, 1])[:, None]
-                         for v in (a, b)]
-                dot[huge], cross[huge] = _dot_cross(*units)
-                bound[huge] = 1e-14
-            join[:, j] = (dot > 0) & (np.abs(cross) <= bound)
-            sums[:, j] = np.where(join[:, j, None], a + b, b)
-    return sums, join
+    col_norms = _norms(cols.reshape(-1, 2)).reshape(cols.shape[:2])
+    for j in range(1, cols.shape[1]):
+        a, b = sums[:, j - 1], cols[:, j]
+        dot = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        bound = 1e-14 * _norms(a) * col_norms[:, j]
+        join[:, j] = (dot > 0) & (np.abs(cross) <= bound)
+        sums[:, j] = np.where(join[:, j, None], a + b, b)
+    return np.ldexp(sums, k), join
 
 
 def _walk(centers: np.ndarray, gens: np.ndarray) -> np.ndarray:

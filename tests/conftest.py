@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from zonodiff import Zonotope
+from zonodiff import (ObserverConfig, Topology, Trajectory, Zonotope,
+                      alternating_schedule, paper_scenario, run_simulation,
+                      simulate)
 
 
 @pytest.fixture
@@ -42,3 +46,36 @@ def certified_member(z, x):
     if not np.allclose(fit, x, atol=1e-9):
         return False
     return bool(np.abs(beta).max() <= 1.0)
+
+
+def paper_run(kind, diffusion, topology, scale=0, shift=0, steps=200, seed=3):
+    """Estimates ``[step][node]`` of a paper-scenario run on ``topology``
+    (8 nodes), with the scenario scaled by ``2^scale`` and its node ids
+    rotated by ``shift``.
+
+    Scaling multiplies the initial set, the process noise, the strip
+    half-width, the true states and the measurements by ``2^scale``. The
+    rotation gives node ``(i + shift) % 8`` node ``i``'s measurements and
+    neighbors; with an even shift it keeps every node's measurement row,
+    which alternates with the node's parity.
+    """
+    model, _ = paper_scenario()
+    trajectory = simulate(model, steps, seed)
+    n = model.n_nodes
+
+    def up(a):
+        return np.ldexp(np.asarray(a, dtype=float), scale)
+
+    z = model.initial_set
+    model = replace(model, initial_set=Zonotope(up(z.center), up(z.generators)),
+                    q_generators=up(model.q_generators),
+                    schedule=alternating_schedule(
+                        float(up(model.schedule(0, 0)[1]))),
+                    true_initial_state=up(model.true_initial_state))
+    old = (np.arange(n) - shift) % n
+    trajectory = Trajectory(up(trajectory.states),
+                            up(trajectory.measurements)[:, old])
+    topology = Topology(n, tuple(
+        tuple((j + shift) % n for j in topology.neighbors[i]) for i in old))
+    cfg = ObserverConfig(kind=kind, diffusion_enabled=diffusion)
+    return run_simulation(model, topology, cfg, trajectory).estimates

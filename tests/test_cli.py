@@ -174,7 +174,9 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("content", [
         '{"n": 3}', '[[0, 1], [1, 0]]', '{"n": 3, "neighbors": 5}',
-        '{"n": 2, "neighbors": [[0, 1], [1, null]]}'])
+        '{"n": 2, "neighbors": [[0, 1], [1, null]]}',
+        '{"n": true, "neighbors": [[0]]}',
+        '{"n": 2, "neighbors": [[0, true], [1, 0]]}'])
     def test_malformed_topology_file(self, tmp_path, capsys, content):
         tfile = tmp_path / "topo.json"
         tfile.write_text(content)

@@ -12,7 +12,8 @@ from zonodiff import (
     optimal_diffusion_weights,
 )
 from zonodiff import intersection
-from zonodiff.intersection import diffusion_weights, frobenius_optimal_gain
+from zonodiff.intersection import (diffusion_weights, frobenius_optimal_gain,
+                                   squared_f_radius)
 from conftest import certified_member, random_zonotope, sample_members
 
 
@@ -78,6 +79,26 @@ class TestDiffusionWeights:
         z = random_zonotope(rng, 2, 2)
         with pytest.raises(ValueError, match="sum to zero"):
             intersect_zonotopes([z, z], [1.0, -1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_scaled_weights_give_the_same_set(self, rng):
+        # The zero-sum test is relative: weights scaled by 2^j give the
+        # same set bit for bit, tiny and huge weights are accepted, and a
+        # zero sum is rejected at every scale.
+        zs = [random_zonotope(rng, 2, 3), random_zonotope(rng, 2, 2)]
+        want = intersect_zonotopes(zs, [0.3, 0.7])
+        for j in (-1000, -600, -53, 0, 53, 600, 1000):
+            got = intersect_zonotopes(zs, np.ldexp([0.3, 0.7], j))
+            assert np.array_equal(got.center, want.center)
+            assert np.array_equal(got.generators, want.generators)
+            with pytest.raises(ValueError, match="sum to zero"):
+                intersect_zonotopes(zs, np.ldexp([1.0, -1.0], j))
+        half = intersect_zonotopes(zs, [1.0, 1.0])
+        for w in ([1e-16, 1e-16], [1e308, 1e308], [5e-324, 5e-324]):
+            got = intersect_zonotopes(zs, w)
+            assert np.allclose(got.center, half.center, rtol=1e-15, atol=0)
+            assert np.allclose(got.generators, half.generators, rtol=1e-15,
+                               atol=0)
 
     def test_rejects_nonfinite(self, rng):
         z = random_zonotope(rng, 2, 2)
@@ -483,28 +504,52 @@ class TestOptimalDiffusionWeights:
         assert np.allclose(w, [0.0, 0.5, 0.5])
 
     @pytest.mark.filterwarnings("error")
-    def test_tiny_sets_count_as_points(self):
-        # Generators of 1e-156 give a subnormal beta whose inverse
-        # overflows: such a member is weighted like a point set.
+    @pytest.mark.parametrize("j", [-1074, -1000, -600, -520, 510, 520, 600,
+                                   1000, 1020])
+    def test_weights_at_every_scale(self, j):
+        # ||G||_F^2 of 2^j I and 3 2^j I underflows or overflows at these
+        # scales; the weights are those at scale 1, bit for bit.
+        def weights(scale):
+            return optimal_diffusion_weights(
+                [Zonotope([0.0, 0.0], np.ldexp(np.eye(2), scale)),
+                 Zonotope([1.0, 1.0], np.ldexp(3.0 * np.eye(2), scale))])
+        assert np.allclose(weights(0), [0.9, 0.1], rtol=1e-15, atol=0)
+        assert np.array_equal(weights(j), weights(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_only_zero_generators_are_points(self):
+        # A set of 1e-156 has a subnormal ||G||_F^2 whose inverse would
+        # overflow, but it is weighted by its size like any other set; only
+        # G = 0 pins the weights.
         tiny = Zonotope([0.0, 0.0], 1e-156 * np.eye(2))
         wide = Zonotope([1.0, 1.0], np.eye(2))
         point = Zonotope.point([2.0, 2.0])
-        assert optimal_diffusion_weights([tiny, wide]).tolist() == [1.0, 0.0]
+        w = optimal_diffusion_weights([tiny, wide])
+        assert w[0] == 1.0 and 0.0 < w[1] < 1e-300
+        assert np.array_equal(w, optimal_diffusion_weights(
+            [Zonotope(z.center, np.ldexp(z.generators, 500))
+             for z in (tiny, wide)]))
         assert optimal_diffusion_weights(
-            [wide, tiny, point]).tolist() == [0.0, 0.5, 0.5]
+            [wide, tiny, point]).tolist() == [0.0, 0.0, 1.0]
+        zero = Zonotope([3.0, 3.0], np.zeros((2, 2)))
+        assert optimal_diffusion_weights(
+            [tiny, zero, point]).tolist() == [0.0, 0.5, 0.5]
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_sum_of_inverses(self):
-        # Each 1/beta of the first row is finite but their sum overflows:
-        # that row is rescaled, and the second row, whose sum is finite,
-        # keeps the plain formula bit for bit.
-        beta = np.array([[1e-308] * 6, [1.0, 3.0, 7.0, 2.0, 5.0, 11.0]])
-        w = diffusion_weights(beta)
-        assert w[0].tolist() == [1.0 / 6.0] * 6
-        inv = 1.0 / beta[1]
-        assert np.array_equal(w[1], inv / inv.sum())
-        mixed = diffusion_weights(np.array([1e-308, 1e-308, 2e-308]))
-        assert np.allclose(mixed, [0.4, 0.4, 0.2], rtol=1e-15, atol=0)
+    def test_overflowing_sum_of_inverses(self, rng):
+        # Near 2^-512 the sum of the 1/||G||_F^2 overflows, below it each
+        # term does, and above 2^512 each ||G||_F^2. Each row of a stacked
+        # call, at whatever scale, gets the plain formula's weights at
+        # scale 1 bit for bit.
+        gens = [rng.normal(size=(2, int(rng.integers(1, 5))))
+                for _ in range(6)]
+        inv = 1.0 / np.array([(g ** 2).sum() for g in gens])
+        plain = inv / inv.sum()
+        rows = [squared_f_radius([np.ldexp(g, j) for g in gens])
+                for j in (0, -511, -512, -513, -520, -600, 600)]
+        w = diffusion_weights(np.array([beta for beta, _ in rows]),
+                              np.array([k for _, k in rows]))
+        assert all(np.array_equal(row, plain) for row in w)
 
     def test_beats_random_simplex_weights(self, rng):
         zs = [random_zonotope(rng, 2, int(rng.integers(1, 5)))

@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import math
@@ -22,6 +23,8 @@ from zonodiff import (
 from zonodiff.intersection import frobenius_optimal_gain, stack_strips
 from zonodiff.observers import fuse_update, local_update
 from zonodiff.plant import paper_scenario, simulate
+
+from conftest import paper_run
 
 F_ROT = np.array([[0.992, -0.1247], [0.1247, 0.992]])
 NO_NOISE = np.zeros((2, 0))
@@ -346,3 +349,53 @@ class TestRunSimulation:
             res = run_simulation(model, presets[4], cfg, traj)
             final = np.mean([f_radius(z) for z in res.estimates[-1]])
             assert final < 0.3 * initial
+
+
+WHOLE_RUNS = [(kind, diffusion) for kind in ("sm", "iv")
+              for diffusion in (True, False)]
+
+
+@functools.cache
+def unscaled_run(kind, diffusion, topology):
+    return paper_run(kind, diffusion, topology)
+
+
+def scaled_set(a, b, k=0):
+    """True if the set ``b`` is the set ``a`` scaled by ``2^k``, bit for
+    bit."""
+    return (np.array_equal(np.ldexp(a.center, k), b.center)
+            and np.array_equal(np.ldexp(a.generators, k), b.generators))
+
+
+class TestWholeRunInvariants:
+    """Invariants of whole 200-step paper runs, bit for bit. The engine is
+    linear and homogeneous, so no threshold or branch may see the scale of
+    the scenario or the node labels."""
+
+    @pytest.mark.parametrize("k", [-1000, -600, -520, -300, 7, 300, 520,
+                                   600, 1000])
+    @pytest.mark.parametrize("graph", ["ring-k4", "irregular"])
+    @pytest.mark.parametrize("kind, diffusion", WHOLE_RUNS)
+    def test_power_of_two_scale(self, kind, diffusion, graph, k):
+        # Scaling the scenario by 2^k scales every estimate by 2^k.
+        topology = (ring_topology(8, 4) if graph == "ring-k4"
+                    else Topology(8, IRREGULAR))
+        base = unscaled_run(kind, diffusion, topology)
+        scaled = paper_run(kind, diffusion, topology, scale=k)
+        bad = [(t, i) for t, (row, got) in enumerate(zip(base, scaled))
+               for i, (a, b) in enumerate(zip(row, got))
+               if not scaled_set(a, b, k)]
+        assert bad == []
+
+    @pytest.mark.parametrize("shift", [2, 4])
+    @pytest.mark.parametrize("neighbors", [2, 4, 6])
+    @pytest.mark.parametrize("kind, diffusion", WHOLE_RUNS)
+    def test_relabeling(self, kind, diffusion, neighbors, shift):
+        # Rotating the node ids by an even shift permutes every estimate.
+        topology = ring_topology(8, neighbors)
+        base = unscaled_run(kind, diffusion, topology)
+        rotated = paper_run(kind, diffusion, topology, shift=shift)
+        bad = [(t, i) for t, (row, got) in enumerate(zip(base, rotated))
+               for i, a in enumerate(row)
+               if not scaled_set(a, got[(i + shift) % 8])]
+        assert bad == []

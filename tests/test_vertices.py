@@ -4,8 +4,9 @@
 drop zero generators, flip into the upper half-plane, stable sort by angle,
 merge neighbors left to right, walk the boundary. Merging needs a positive
 dot product as well as a relative cross product of at most 1e-14, so
-near-anti-parallel generators at the wrap of the half-plane are kept apart;
-where the products overflow, the test is made on the unit vectors.
+near-anti-parallel generators at the wrap of the half-plane are kept apart.
+The test is made on the set scaled by the power of two of its largest
+entry, and the merged sums are scaled back.
 The kernel must return the oracle's arrays bit for bit.
 """
 
@@ -30,7 +31,8 @@ def oracle_vertices(z):
     flip = (gens[1] < 0) | ((gens[1] == 0) & (gens[0] < 0))
     gens = gens * np.where(flip, -1.0, 1.0)
     order = np.argsort(np.arctan2(gens[1], gens[0]), kind="stable")
-    gens = gens[:, order]
+    k = np.frexp(np.abs(gens).max())[1]
+    gens = np.ldexp(gens[:, order], -k)
     merged = [gens[:, 0].copy()]
     for j in range(1, gens.shape[1]):
         g = gens[:, j]
@@ -39,7 +41,7 @@ def oracle_vertices(z):
             merged[-1] = last + g
         else:
             merged.append(g.copy())
-    gens = np.column_stack(merged)
+    gens = np.ldexp(np.column_stack(merged), k)
     m = gens.shape[1]
     walk = np.cumsum(np.vstack([z.center - gens.sum(axis=1), 2.0 * gens.T]),
                      axis=0)
@@ -47,17 +49,10 @@ def oracle_vertices(z):
 
 
 def same_direction(a, b):
-    # a . b > 0 and |a x b| <= 1e-14 |a| |b|, redone on the unit vectors
-    # where a product overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dot = a[0] * b[0] + a[1] * b[1]
-        cross = a[0] * b[1] - a[1] * b[0]
-        bound = 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
-    if not np.isfinite([dot, cross, bound]).all():
-        a, b = a / np.hypot(*a), b / np.hypot(*b)
-        dot = a[0] * b[0] + a[1] * b[1]
-        cross = a[0] * b[1] - a[1] * b[0]
-        bound = 1e-14
+    # a . b > 0 and |a x b| <= 1e-14 |a| |b|.
+    dot = a[0] * b[0] + a[1] * b[1]
+    cross = a[0] * b[1] - a[1] * b[0]
+    bound = 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
     return dot > 0 and abs(cross) <= bound
 
 
@@ -164,12 +159,35 @@ def test_stacks_match_oracle(zs):
 @pytest.mark.parametrize("scale",
                          [1e-170, 1e-130, 1e130, 1e150, 1e160, 1e300])
 def test_extreme_scales_match_oracle(rng, scale):
-    # Above norms of about 1e154 the merge test is made on the unit
-    # vectors; the stack mixes those rows with unit-scale ones.
+    # Unscaled, the products of the merge test underflow below norms of
+    # about 1e-162 and overflow above about 1e154; the stack mixes such
+    # rows with unit-scale ones.
     base = rng.normal(size=(2, 3))
     gens = np.hstack([base, 2.0 * base[:, :1], base[:, 1:2] * (1 + 1e-15)])
     zs = [Zonotope(np.zeros(2), scale * gens), Zonotope(np.ones(2), gens)]
     assert mismatches(zs, zonotope._vertices_stack(zs)) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-1000, -565, -520, 520, 900])
+def test_vertices_are_homogeneous(j):
+    # Random zonogons with exactly parallel and near-parallel generator
+    # pairs: scaled by 2^j, each set's vertices are its vertices scaled by
+    # 2^j, bit for bit. Unscaled, the merge test's products would underflow
+    # at 2^-565 and keep parallel pairs apart.
+    rng = np.random.default_rng(565)
+    zs = []
+    for _ in range(300):
+        base = rng.normal(size=(2, 4))
+        tilt = 1e-15 * rng.normal(size=(2, 2)) * np.abs(base[:, 2:]).max()
+        gens = np.hstack([base, 2.0 * base[:, :2], base[:, 2:] + tilt])
+        zs.append(Zonotope(rng.normal(size=2),
+                           gens[:, rng.permutation(gens.shape[1])]))
+    want = zonotope._vertices_stack(zs)
+    got = zonotope._vertices_stack(
+        [Zonotope(np.ldexp(z.center, j), np.ldexp(z.generators, j))
+         for z in zs])
+    assert all(same_bits(np.ldexp(v, j), g) for v, g in zip(want, got))
 
 
 def test_norms_match_linalg_norm():
@@ -215,8 +233,8 @@ def test_near_anti_parallel_generators_not_merged(gens, x_range):
     ([[1e160, 2e160], [1e100, 2e100]], 2),  # parallel: a segment
 ])
 def test_huge_generators_merge_only_when_parallel(gens, count):
-    # Above norms of about 1e154 the products of the merge test overflow;
-    # the test is then made on the unit vectors.
+    # Above norms of about 1e154 the products of the merge test would
+    # overflow; it is made on the set scaled by a power of two.
     z = Zonotope([0.0, 0.0], gens)
     verts = vertices_2d(z)
     assert len(verts) == count
