@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -149,7 +148,10 @@ def _topology_for(cfg: RunConfig) -> Topology:
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # Created as open(path, "w") creates a file, with mode 0o666 less the
+    # umask; O_EXCL never opens a file that is already there.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

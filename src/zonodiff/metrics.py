@@ -1,13 +1,18 @@
 """Evaluation metrics: set radii (F-radius and interval-hull half
-diagonal), pairwise Hausdorff distance, center localization error."""
+diagonal), pairwise Hausdorff distance, center localization error.
+
+Only numpy is loaded with this module. The Hausdorff distance uses scipy's
+distance kernel, and ``scipy.spatial`` is loaded on its first call, so the
+first 2-D Hausdorff summary of a process pays for the import and a process
+that never asks for one never loads scipy."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .zonotope import (
     Zonotope,
@@ -26,6 +31,21 @@ __all__ = [
     "build_records",
     "summarize",
 ]
+
+
+@functools.cache
+def _cdist_kernel():
+    # Loaded once: an import statement per call would cost about 1 us on
+    # each of the thousands of pairs of a grid run.
+    from scipy.spatial.distance import cdist as kernel
+    return kernel
+
+
+def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and those of ``b``
+    (``scipy.spatial.distance.cdist``)."""
+    return _cdist_kernel()(a, b)
+
 
 def half_diagonal(lower, upper) -> float:
     """Half the Euclidean diagonal of the box ``[lower, upper]``."""

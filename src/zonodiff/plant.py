@@ -222,7 +222,9 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
 def trajectory_from_csv(text: str) -> Trajectory:
     """Inverse of :func:`trajectory_to_csv` (lossless round-trip)."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("trajectory CSV has no header row")
     dim = sum(1 for name in header if name.startswith("x"))
     states = []
     measurements = []

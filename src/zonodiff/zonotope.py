@@ -4,6 +4,10 @@ A zonotope ``Z = <c, G>`` is the set ``{c + G @ b : b in [-1, 1]^e}`` with
 center ``c`` (length ``n``) and generator matrix ``G`` (``n x e``). Zonotopes
 are closed under linear maps and Minkowski sums, which makes them the working
 set representation for every estimation step in this package.
+
+Only numpy is loaded with this module. ``scipy.optimize`` is imported by
+the membership LP (:func:`contains_point` above 2 000 facet subsets) on
+its first call, so no run of the paper's 2-D scenario loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "Zonotope",
@@ -314,6 +317,10 @@ def _support_test(gens: np.ndarray, d: np.ndarray, tol: float):
 
 def _contains_lp(gens: np.ndarray, d: np.ndarray, tol: float) -> bool:
     # Feasibility of G b = d with ||b||_inf <= 1 + tol, via min ||b||_inf.
+    # Imported here: an LP costs milliseconds, and no other path of the
+    # package needs scipy.optimize.
+    from scipy.optimize import linprog
+
     n, e = gens.shape
     cost = np.zeros(e + 1)
     cost[-1] = 1.0

@@ -48,20 +48,24 @@ def certified_member(z, x):
     return bool(np.abs(beta).max() <= 1.0)
 
 
-def paper_run(kind, diffusion, topology, scale=0, shift=0, steps=200, seed=3):
+def paper_run(kind, diffusion, topology, scale=0, perm=None, steps=200,
+              seed=3):
     """Estimates ``[step][node]`` of a paper-scenario run on ``topology``
     (8 nodes), with the scenario scaled by ``2^scale`` and its node ids
-    rotated by ``shift``.
+    relabelled by the permutation ``perm``.
 
     Scaling multiplies the initial set, the process noise, the strip
-    half-width, the true states and the measurements by ``2^scale``. The
-    rotation gives node ``(i + shift) % 8`` node ``i``'s measurements and
-    neighbors; with an even shift it keeps every node's measurement row,
-    which alternates with the node's parity.
+    half-width, the true states and the measurements by ``2^scale``.
+    Relabelling gives node ``perm[i]`` node ``i``'s measurements and
+    neighbors. ``perm`` must keep the parity of every node, as a node's
+    measurement row alternates with its parity.
     """
     model, _ = paper_scenario()
     trajectory = simulate(model, steps, seed)
     n = model.n_nodes
+    perm = np.arange(n) if perm is None else np.asarray(perm)
+    assert sorted(perm) == list(range(n))
+    assert (perm % 2 == np.arange(n) % 2).all(), "perm must keep parity"
 
     def up(a):
         return np.ldexp(np.asarray(a, dtype=float), scale)
@@ -72,10 +76,10 @@ def paper_run(kind, diffusion, topology, scale=0, shift=0, steps=200, seed=3):
                     schedule=alternating_schedule(
                         float(up(model.schedule(0, 0)[1]))),
                     true_initial_state=up(model.true_initial_state))
-    old = (np.arange(n) - shift) % n
+    old = np.argsort(perm)  # node old[j] is relabelled j
     trajectory = Trajectory(up(trajectory.states),
                             up(trajectory.measurements)[:, old])
     topology = Topology(n, tuple(
-        tuple((j + shift) % n for j in topology.neighbors[i]) for i in old))
+        tuple(int(perm[j]) for j in topology.neighbors[i]) for i in old))
     cfg = ObserverConfig(kind=kind, diffusion_enabled=diffusion)
     return run_simulation(model, topology, cfg, trajectory).estimates

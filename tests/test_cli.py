@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -122,6 +124,20 @@ class TestCmdRun:
         for name in ("records.csv", "summary.csv", "trajectory.csv",
                      "snapshots.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_output_mode_follows_umask(self, tmp_path, umask, mode):
+        # Every output gets the mode open(path, "w") would give it.
+        previous = os.umask(umask)
+        try:
+            assert main(["run", "--out", str(tmp_path)] + QUICK) == 0
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+                 for p in tmp_path.iterdir()}
+        assert modes == {name: mode for name in (
+            "records.csv", "summary.csv", "trajectory.csv", "snapshots.json")}
 
     def test_records_parse_back_losslessly(self, tmp_path):
         assert main(["run", "--alg", "sm", "--neighbors", "4", "--out",
@@ -281,6 +297,13 @@ class TestCmdReplay:
     def test_replay_missing_file(self, tmp_path):
         assert main(["replay", "--trajectory", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 1
+
+    def test_replay_empty_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert main(["replay", "--trajectory", str(empty),
+                     "--out", str(tmp_path)]) == 1
+        assert "cannot load trajectory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, value", [("x1", "nan"), ("x2", "inf"),
                                                ("y0", "nan")])

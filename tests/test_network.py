@@ -367,6 +367,15 @@ def scaled_set(a, b, k=0):
             and np.array_equal(np.ldexp(a.generators, k), b.generators))
 
 
+def relabel_mismatches(kind, diffusion, topology, perm):
+    """The ``(step, node)`` pairs whose estimate differs, bit for bit, from
+    that of node ``perm[node]`` in the run relabelled by ``perm``."""
+    base = unscaled_run(kind, diffusion, topology)
+    relabelled = paper_run(kind, diffusion, topology, perm=perm)
+    return [(t, i) for t, (row, got) in enumerate(zip(base, relabelled))
+            for i, a in enumerate(row) if not scaled_set(a, got[perm[i]])]
+
+
 class TestWholeRunInvariants:
     """Invariants of whole 200-step paper runs, bit for bit. The engine is
     linear and homogeneous, so no threshold or branch may see the scale of
@@ -392,10 +401,17 @@ class TestWholeRunInvariants:
     @pytest.mark.parametrize("kind, diffusion", WHOLE_RUNS)
     def test_relabeling(self, kind, diffusion, neighbors, shift):
         # Rotating the node ids by an even shift permutes every estimate.
-        topology = ring_topology(8, neighbors)
-        base = unscaled_run(kind, diffusion, topology)
-        rotated = paper_run(kind, diffusion, topology, shift=shift)
-        bad = [(t, i) for t, (row, got) in enumerate(zip(base, rotated))
-               for i, a in enumerate(row)
-               if not scaled_set(a, got[(i + shift) % 8])]
-        assert bad == []
+        perm = [(i + shift) % 8 for i in range(8)]
+        assert relabel_mismatches(kind, diffusion, ring_topology(8, neighbors),
+                                  perm) == []
+
+    @pytest.mark.parametrize("perm", [(0, 3, 2, 1, 4, 7, 6, 5),
+                                      (2, 1, 0, 3, 6, 5, 4, 7),
+                                      (6, 7, 4, 5, 2, 3, 0, 1)],
+                             ids=lambda p: "".join(map(str, p)))
+    @pytest.mark.parametrize("kind, diffusion", WHOLE_RUNS)
+    def test_relabeling_irregular(self, kind, diffusion, perm):
+        # Any parity-keeping relabelling of the irregular graph, whose
+        # nodes have one to three neighbors, permutes every estimate.
+        assert relabel_mismatches(kind, diffusion, Topology(8, IRREGULAR),
+                                  perm) == []
