@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,9 +60,10 @@ class ContainmentViolationError(RuntimeError):
 
 
 # Accepted types by the annotation of a RunConfig field (annotations are
-# strings here); config-file values can be any JSON type.
-_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "bool": bool,
-                "int": int, "float": (int, float)}
+# strings here); config-file values can be any JSON type. Read-only.
+_FIELD_TYPES = MappingProxyType({
+    "str": str, "str | None": (str, type(None)), "bool": bool, "int": int,
+    "float": (int, float)})
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class RunConfig:
         return self
 
 
-_CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
+_CONFIG_KEYS = frozenset(RunConfig.__dataclass_fields__)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:

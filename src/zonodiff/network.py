@@ -8,8 +8,9 @@ alone) and, for the set-membership observer, propagates in time. Node
 computations within a phase are independent, so iteration order cannot
 affect results. Phase 1 runs node
 by node through :func:`~zonodiff.observers.local_update` on the rows of
-the round's stacked strip arrays; phase 2 runs for all nodes at once on
-stacked arrays.
+the round's stacked strip arrays, with one memo per round, so that the
+gain is solved once per distinct prior generator matrix and strip rows;
+phase 2 runs for all nodes at once on stacked arrays.
 """
 
 from __future__ import annotations
@@ -171,7 +172,12 @@ def run_round(topology: Topology, node_states, measurements,
     and, as they are stacked into ``(Gamma, y, r)`` arrays, the strips.
     Phase 1 calls :func:`~zonodiff.observers.local_update` per node with
     its neighborhood's rows, gathered through index arrays cached on the
-    topology. Phase 2 is one diffusion for all nodes at once on stacked
+    topology, and one memo dict for the round: a node whose prior
+    generators (with their layout) and strip rows ``(Gamma, r)`` equal an
+    earlier node's, bit for bit, reuses that node's gain and generators
+    and computes only its center. In the paper's rings the nodes of one
+    parity match, so a round solves two gains whatever the ring's size.
+    Phase 2 is one diffusion for all nodes at once on stacked
     arrays, one batch per neighborhood size, or with diffusion off one
     batch in which each node fuses its own set alone, with the same
     kernels as the per-node functions of :mod:`zonodiff.observers`. A
@@ -193,9 +199,12 @@ def run_round(topology: Topology, node_states, measurements,
     f_mat, noise = dynamics(f_matrix, q_generators, dim)
     gamma, y, r = stack_strips(measurements, dim)
 
-    # Phase 1: every node computes its corrected set from the delivered strips.
+    # Phase 1: every node computes its corrected set from the delivered
+    # strips. The memo lives for this round only: nodes whose priors and
+    # strip rows match to the bit share one gain solve.
+    memo: dict = {}
     corrected = [local_update(state, (gamma[row], y[row], r[row]), cfg,
-                              f_mat, noise)
+                              f_mat, noise, memo)
                  for state, row in zip(states, topology._rows)]
 
     # Phase 2 barrier: only now are corrected sets exchanged. Without

@@ -29,6 +29,7 @@ import numpy as np
 from .intersection import (
     combine,
     correct,
+    corrected_center,
     frobenius_optimal_gain,
     optimal_diffusion_weights,
     stack_strips,
@@ -143,17 +144,51 @@ def check_budget(q: int, dim: int) -> None:
         raise ValueError("q must be at least the state dimension")
 
 
-def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None) -> Zonotope:
+def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None, q=None,
+               memo=None) -> Zonotope:
     """``z`` corrected by the strips ``(gamma, y, r)`` at the
     F-radius-optimal gain, with front matrix ``front`` (identity if None)
-    and the generator block ``noise`` appended: the phase-1 body of both
-    observers. The result is checked for finiteness."""
+    and the generator block ``noise`` appended, then reduced to ``q``
+    generators unless ``q`` is None: the phase-1 body of both observers.
+    The corrected set is checked for finiteness before it is reduced.
+
+    Only the center reads ``y`` and the prior center; the gain, its
+    fallback flag and the generators depend on ``G``, ``gamma`` and ``r``
+    alone. ``memo``, a dict shared by calls with one ``front``, ``noise``
+    and ``q``, stores them under the exact input of that data-free step
+    (:func:`_shape_key`), and a call that finds its key computes only the
+    center, with the expression of :func:`correct`.
+    """
+    if memo is not None:
+        key = _shape_key(z.generators, gamma, r)
+        if key in memo:
+            lam, fallback, gens = memo[key]
+            _note_fallback(fallback, len(r))
+            return checked_zonotope(
+                corrected_center(z.center, gamma, y, lam, front), gens)
     lam, fallback = frobenius_optimal_gain(z.generators, gamma, r, front)
+    _note_fallback(fallback, len(r))
+    out = checked_zonotope(*correct(z.center, z.generators, gamma, y, r, lam,
+                                    front, noise))
+    if q is not None:
+        out = reduce(out, q)
+    if memo is not None:
+        memo[key] = lam, fallback, out.generators
+    return out
+
+
+def _shape_key(gens: np.ndarray, gamma: np.ndarray, r: np.ndarray) -> tuple:
+    # The bytes of G, Gamma and r, with the shapes and strides of the two
+    # matrices: a product over a Fortran-ordered matrix can round
+    # differently from one over the same values C-ordered.
+    return (gens.shape, gens.strides, gens.tobytes(), gamma.shape,
+            gamma.strides, gamma.tobytes(), r.tobytes())
+
+
+def _note_fallback(fallback: bool, n_strips: int) -> None:
     if fallback:
         _log.debug("gain solve fell back to a pseudo-inverse: the normal "
-                   "matrix of %d strips is near-singular", len(r))
-    return checked_zonotope(*correct(z.center, z.generators, gamma, y, r, lam,
-                                     front, noise))
+                   "matrix of %d strips is near-singular", n_strips)
 
 
 def sm_measurement_update(state: NodeState, strips) -> Zonotope:
@@ -200,11 +235,11 @@ def iv_luenberger_update(state: NodeState, strips, f_matrix, q_generators,
     """
     z = state.estimate
     f_mat, noise = dynamics(f_matrix, q_generators, z.dim)
-    return reduce(_corrected(z, *stack_strips(strips, z.dim), f_mat, noise), q)
+    return _corrected(z, *stack_strips(strips, z.dim), f_mat, noise, q)
 
 
 def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
-                 q_generators) -> Zonotope:
+                 q_generators, memo=None) -> Zonotope:
     """Phase-1 computation: the set this node shares with its neighbors.
 
     ``strips`` holds the node's rows ``(Gamma, y, r)`` of the round's
@@ -214,11 +249,22 @@ def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
     round; here only the corrected set is checked, for finiteness. Returns
     it for the set-membership observer, or reduced to ``cfg.q`` generators
     for the interval-based one (the Luenberger step).
+
+    ``memo`` is a dict that ``run_round`` creates for one round and passes
+    to every node's call; every call sharing it must pass the same
+    ``cfg``, ``f_matrix`` and ``q_generators``. The gain solve and the
+    generators (reduced, for the interval-based observer) never read a
+    measurement, so they are computed once per distinct prior generator
+    matrix, with its layout, and strip rows ``(Gamma, r)``, bit for bit;
+    each further node with that key computes only its center. In the
+    paper's rings the nodes of one parity share a key: 30 of the 32 node
+    calls of a 32-node ring round, and 6 of 8 in an 8-node one, reuse a
+    solve. Without ``memo`` every call solves.
     """
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
-        return _corrected(state.estimate, *strips)
-    return reduce(_corrected(state.estimate, *strips, f_matrix, q_generators),
-                  cfg.q)
+        return _corrected(state.estimate, *strips, memo=memo)
+    return _corrected(state.estimate, *strips, f_matrix, q_generators, cfg.q,
+                      memo)
 
 
 def fuse_update(state: NodeState, own_corrected: Zonotope, shared_sets,

@@ -635,7 +635,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _merge(cols: np.ndarray):
+def _merge(cols: np.ndarray, shift: np.ndarray):
     """The collinear merge of a stack ``(B, e, 2)`` of angle-sorted
     generators, one vectorized step per column.
 
@@ -644,7 +644,8 @@ def _merge(cols: np.ndarray):
     relative: ``a . b > 0`` and ``|a x b| <= 1e-14 |a| |b|``, as products
     of the entries and norms as :func:`np.linalg.norm` takes them, on each
     set scaled by the power of two of its largest entry, so that scaling a
-    set does not change its decisions; the sums are scaled back, exactly.
+    set does not change its decisions; the sums are scaled back, exactly,
+    to the set's scale times ``2^-shift``, one ``shift`` per set.
 
     Returns ``(sums, join)``: ``join[:, j]`` merges generator ``j`` into the
     group before it, and ``sums[:, j]`` is the group's sum through ``j``,
@@ -662,7 +663,7 @@ def _merge(cols: np.ndarray):
         bound = 1e-14 * _norms(a) * col_norms[:, j]
         join[:, j] = (dot > 0) & (np.abs(cross) <= bound)
         sums[:, j] = np.where(join[:, j, None], a + b, b)
-    return np.ldexp(sums, k), join
+    return np.ldexp(sums, k - shift[:, None, None]), join
 
 
 def _walk(centers: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -688,20 +689,43 @@ def _zonogons(centers: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     cols = cols * np.where(flip, -1.0, 1.0)[:, :, None]
     order = np.argsort(np.arctan2(cols[:, :, 1], cols[:, :, 0]), axis=1,
                        kind="stable")
-    sums, join = _merge(np.take_along_axis(cols, order[:, :, None], axis=1))
+    shift = _walk_shift(centers, cols)
+    sums, join = _merge(np.take_along_axis(cols, order[:, :, None], axis=1),
+                        shift)
     # The last column of each merge group holds the group's sum.
     ends = np.ones_like(join)
     ends[:, :-1] = ~join[:, 1:]
     widths = ends.sum(axis=1)
+    centers = np.ldexp(centers, -shift[:, None])
     out = [None] * len(cols)
     for m in np.unique(widths):
         rows = np.flatnonzero(widths == m)
         merged = sums[rows][ends[rows]].reshape(-1, m, 2)
         verts = _walk(centers[rows],
                       np.ascontiguousarray(merged.transpose(0, 2, 1)))
+        with np.errstate(over="ignore"):  # vertices beyond the range: inf
+            verts = np.ldexp(verts, shift[rows, None, None])
         for r, v in zip(rows, verts):
             out[r] = v
     return out
+
+
+def _walk_shift(centers: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per set, the power of two ``s >= 0`` by which the walk scales the
+    set down so that it cannot overflow.
+
+    With ``e`` generators and every entry of the center and of the
+    generators below ``2^E``, the merged sums, the doubled generators, the
+    walk's partial sums and ``2c`` all stay below ``2 (e + 1) 2^E``, so
+    below ``2^1022`` when ``E + bitlen(e + 1) <= 1021``. Sets within that
+    get ``s = 0``, and their walk is unchanged, bit for bit; the others are
+    walked at ``2^-s`` times their scale, where the walk is exact as at
+    scale 1 down to the subnormal range, and scaled back, a vertex beyond
+    the double range to +-inf.
+    """
+    top = np.maximum(np.abs(centers).max(axis=1), np.abs(cols).max(axis=(1, 2)))
+    need = np.frexp(top)[1] + (cols.shape[1] + 1).bit_length() - 1021
+    return np.maximum(need, 0)
 
 
 def _vertices_stack(zs) -> list[np.ndarray]:
@@ -743,6 +767,7 @@ def vertices_2d(z: Zonotope) -> np.ndarray:
     Returns an array of shape ``(V, 2)``. Parallel generators that point
     the same way after the flip into the upper half-plane are merged before
     the angular boundary walk; rank-1 inputs give the 2 endpoints of the
-    degenerate segment, a point set gives a single vertex.
+    degenerate segment, a point set gives a single vertex. A vertex beyond
+    the double range is +-inf (:func:`_walk_shift`).
     """
     return _vertices_stack([z])[0]

@@ -1,6 +1,7 @@
 """Every imported name in the package and its tests is used, every
-private module-level name of the package is referenced in the package, and
-only the zonotope module builds sets that skip the constructor's checks.
+private module-level name of the package is referenced in the package,
+only the zonotope module builds sets that skip the constructor's checks,
+and no module of the package holds a dict or set that outlives a call.
 
 A name counts as used when the module reads it or lists it in ``__all__``.
 A package ``__init__`` re-exports what it imports from its own submodules,
@@ -119,3 +120,82 @@ def test_detects_trusted_reference():
     tree = ast.parse("from .zonotope import Zonotope\n"
                      "z = Zonotope._trusted(c, g)\n_trusted = None\n")
     assert trusted_references(tree) == [2, 3]
+
+
+# Constructors of mutable mappings and sets, by the name they are called by.
+MUTABLE_CONTAINERS = {"dict", "set", "defaultdict", "OrderedDict", "Counter"}
+
+
+def module_containers(tree: ast.Module) -> list[int]:
+    """Lines that bind a name at module or class level to a dict or set: a
+    literal, a comprehension or a call of a constructor in
+    ``MUTABLE_CONTAINERS``, also inside module-level ``if``, ``try`` and
+    ``with`` blocks. ``__all__`` is exempt. A ``functools`` cache decorates
+    or wraps a function and binds no container, so it passes."""
+    found = []
+    blocks = [tree.body]
+    while blocks:
+        for node in blocks.pop():
+            if isinstance(node, ast.ClassDef):
+                blocks.append(node.body)
+            elif isinstance(node, (ast.If, ast.Try, ast.With)):
+                blocks += [getattr(node, field) for field in
+                           ("body", "orelse", "finalbody") if hasattr(node, field)]
+                blocks += [h.body for h in getattr(node, "handlers", [])]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                if all(isinstance(t, ast.Name) and t.id == "__all__"
+                       for t in targets):
+                    continue
+                if node.value is not None and _is_container(node.value):
+                    found.append(node.lineno)
+    return sorted(found)
+
+
+def _is_container(value: ast.expr) -> bool:
+    if isinstance(value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)):
+        return True
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    name = (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+    return name in MUTABLE_CONTAINERS
+
+
+def test_no_module_level_containers():
+    # A memo held at module level would live as long as the process, and
+    # results of one run could leak into the next.
+    found = {p.name: module_containers(ast.parse(p.read_text(encoding="utf-8")))
+             for p in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_detects_module_level_container():
+    tree = ast.parse(
+        "import collections, functools\n"
+        "__all__ = ['f']\n"
+        "_A = {}\n"
+        "_B: dict = dict(x=1)\n"
+        "_C = {1, 2}\n"
+        "_D = {k: 1 for k in 'ab'}\n"
+        "_E = collections.defaultdict(list)\n"
+        "_F = frozenset({1})\n"
+        "_G = (1, 2)\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def f(x):\n"
+        "    memo = {}\n"
+        "    return memo\n"
+        "_h = functools.cache(f)\n"
+        "class K:\n"
+        "    table = set()\n"
+        "    def method(self):\n"
+        "        self.seen = {}\n"
+        "if True:\n"
+        "    _I = {k for k in 'ab'}\n"
+        "try:\n"
+        "    _J = {}\n"
+        "except ImportError:\n"
+        "    _K = {}\n")
+    assert module_containers(tree) == [3, 4, 5, 6, 7, 16, 20, 22, 24]

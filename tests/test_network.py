@@ -2,6 +2,7 @@ import functools
 import json
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from zonodiff import (
     topology_from_json,
     topology_to_json,
 )
+from zonodiff import observers
 from zonodiff.intersection import frobenius_optimal_gain, stack_strips
 from zonodiff.observers import fuse_update, local_update
 from zonodiff.plant import paper_scenario, simulate
@@ -36,28 +38,50 @@ F_CV4 = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
                   [0.0, 0.0, 0.98, 0.0], [0.0, 0.0, 0.0, 0.98]])
 ENGINE_CASES = ["ring-k0", "ring-k2", "ring-k4", "ring-k6", "irregular",
                 "point-prior", "near-parallel", "no-noise", "diffusion-off",
-                "irregular-off", "near-parallel-off", "n4"]
+                "irregular-off", "near-parallel-off", "n4", "parity-ring",
+                "parity-ring-off", "per-node-strips", "per-node-strips-off",
+                "layout", "layout-off", "near-parallel-shared"]
+# Distinct phase-1 keys of the cases built to share them, or to share none.
+SHARED_KEYS = {"parity-ring": 2, "per-node-strips": 8, "layout": 8,
+               "near-parallel-shared": 2}
 
 
 def engine_case(name, kind, rng):
     """One round's inputs: topology, priors and strips around a true state,
     plus the observer settings. Every prior contains the truth and every
     strip is consistent with it. A name ending in "-off" is the case before
-    it with diffusion off ("diffusion-off" is the default ring-k4 case)."""
+    it with diffusion off ("diffusion-off" is the default ring-k4 case).
+
+    In "parity-ring" the priors of one parity share their generators, so
+    the nodes of one parity share a phase-1 key; "near-parallel-shared"
+    adds nearly parallel, very narrow strips to it. "layout" gives every
+    node one generator matrix, node 2 a Fortran-ordered copy of it, and
+    node 5 a narrower strip: nodes 0 and 2 differ in layout alone, and
+    nodes 0, 4 and 6 in the half-widths alone.
+    "per-node-strips" gives the irregular graph's nodes one generator
+    matrix and a strip direction each, so that no two share a key."""
     diffusion = not name.endswith("-off")
     name = name.removesuffix("-off")
     dim = 4 if name == "n4" else 2
     truth = rng.normal(size=dim) * 5.0
-    topo = Topology(8, IRREGULAR) if name == "irregular" else ring_topology(
+    irregular = name in ("irregular", "per-node-strips")
+    topo = Topology(8, IRREGULAR) if irregular else ring_topology(
         8, int(name[-1]) if name.startswith("ring") else 4)
     counts = [3] * 8
     if name == "irregular":
         counts = [2, 3, 4, 25, 5, 9, 2, 25]  # mixed, some above q
+    if name in SHARED_KEYS:
+        shared = [rng.normal(size=(dim, 3)) * 4.0 for _ in range(2)]
     priors = []
     for i in range(8):
         gens = rng.normal(size=(dim, counts[i])) * 4.0
         if name == "irregular" and i in (2, 7):
             gens[:, 1] = 0.0  # zero columns dropped only when reducing
+        if name in ("parity-ring", "near-parallel-shared"):
+            gens = shared[i % 2]
+        elif name in ("layout", "per-node-strips"):
+            gens = np.asfortranarray(shared[0]) if (
+                name == "layout" and i == 2) else shared[0]
         priors.append(Zonotope(
             truth - gens @ rng.uniform(-0.8, 0.8, counts[i]), gens))
     if name == "point-prior":
@@ -72,6 +96,14 @@ def engine_case(name, kind, rng):
         # working precision.
         hs[0], hs[1] = np.array([1.0, 0.0]), np.array([1.0, 1e-9])
         rs[0] = rs[1] = 1e-7
+    if name == "layout":
+        rs[5] = 0.25
+    if name == "near-parallel-shared":
+        hs = [np.array([1.0, 1e-9 * (i % 2)]) for i in range(8)]
+        rs = [1e-7] * 8
+    if name == "per-node-strips":
+        hs = [np.array([math.cos(0.4 * i), math.sin(0.4 * i)])
+              for i in range(8)]
     strips = [Strip(h, float(h @ truth) + r * rng.uniform(-1, 1), r)
               for h, r in zip(hs, rs)]
     f_matrix = F_CV4 if dim == 4 else F_ROT
@@ -79,6 +111,40 @@ def engine_case(name, kind, rng):
     cfg = ObserverConfig(kind=kind, q=6 if name == "irregular" else 20,
                          diffusion_enabled=diffusion)
     return topo, priors, strips, cfg, f_matrix, q_gens, truth
+
+
+def distinct_keys(topo, priors, strips):
+    """Count of distinct phase-1 inputs that no measurement enters: a
+    node's prior generators, with their layout, and its neighborhood's
+    strip rows and half-widths."""
+    return len({(z.generators.shape, z.generators.strides,
+                 z.generators.tobytes(),
+                 np.array([strips[j].h for j in nbrs]).tobytes(),
+                 np.array([strips[j].r for j in nbrs]).tobytes())
+                for z, nbrs in zip(priors, topo.neighbors)})
+
+
+class GainCounter:
+    """Counts the gain solves of phase 1 while installed in
+    :mod:`zonodiff.observers`."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return frobenius_optimal_gain(*args)
+
+    def installed(self):
+        return mock.patch.object(observers, "frobenius_optimal_gain", self)
+
+
+def fallback_nodes(topo, priors, strips):
+    """Nodes whose measurement-update gain solve falls back to pinv."""
+    return [i for i, (z, nbrs) in enumerate(zip(priors, topo.neighbors))
+            if frobenius_optimal_gain(
+                z.generators, np.array([strips[j].h for j in nbrs]),
+                np.array([strips[j].r for j in nbrs]))[1]]
 
 
 def make_strips(truth, n, r=0.5, rng=None):
@@ -93,10 +159,17 @@ def make_strips(truth, n, r=0.5, rng=None):
 
 def round_against_reference(topo, priors, strips, cfg, f_mat, q_gens):
     """One ``run_round`` from ``priors``, checked node by node to equal
-    ``local_update`` on the node's strips followed by ``fuse_update`` on its
-    neighborhood's sets. Returns each node's ``(next state, fused set)``."""
+    ``local_update`` without a memo (one gain solve per node) on the node's
+    strips followed by ``fuse_update`` on its neighborhood's sets, and
+    checked to solve one gain per distinct phase-1 key. Returns each node's
+    ``(next state, fused set)``."""
     states = [NodeState(i, z) for i, z in enumerate(priors)]
-    new_states, trace = run_round(topo, states, strips, cfg, f_mat, q_gens)
+    solves = GainCounter()
+    with solves.installed():
+        new_states, trace = run_round(topo, states, strips, cfg, f_mat,
+                                      q_gens)
+    # One gain solve per distinct key in the round.
+    assert solves.calls == distinct_keys(topo, priors, strips)
     own = [local_update(states[i],
                         stack_strips([strips[j] for j in nbrs], priors[i].dim),
                         cfg, f_mat, q_gens)
@@ -213,11 +286,12 @@ class TestRunRound:
         topo, priors, strips, cfg, f_mat, q_gens, truth = engine_case(
             case, kind, rng)
         if case.startswith("near-parallel"):
-            fallback = [frobenius_optimal_gain(
-                            z.generators, np.array([strips[j].h for j in nbrs]),
-                            np.array([strips[j].r for j in nbrs]))[1]
-                        for z, nbrs in zip(priors, topo.neighbors)]
-            assert any(fallback) and not all(fallback)
+            fallback = fallback_nodes(topo, priors, strips)
+            assert fallback and (len(fallback) == 8) == case.endswith(
+                "shared")
+        base = case.removesuffix("-off")
+        if base in SHARED_KEYS:
+            assert distinct_keys(topo, priors, strips) == SHARED_KEYS[base]
         noise = q_gens @ rng.uniform(-1, 1, q_gens.shape[1])
         for nxt, fused in round_against_reference(topo, priors, strips, cfg,
                                                   f_mat, q_gens):
@@ -248,26 +322,67 @@ class TestRunRound:
 
     @pytest.mark.parametrize("kind", ["sm", "iv"])
     def test_pseudo_inverse_fallback_logged(self, kind, rng, caplog):
-        # One DEBUG record on the "zonodiff" logger per phase-1 gain solve
-        # that fell back to pinv (some nodes of the near-parallel case), and
-        # none at Python's default level (WARNING).
+        # One DEBUG record on the "zonodiff" logger per node whose phase-1
+        # gain solve fell back to pinv, and none at Python's default level
+        # (WARNING). In the shared case every node falls back and the
+        # nodes of one parity share a key, so six of the eight records come
+        # from nodes that reuse a solve.
+        for case in ("near-parallel", "near-parallel-shared"):
+            self.check_fallback_logged(case, kind, rng, caplog)
+
+    @staticmethod
+    def check_fallback_logged(case, kind, rng, caplog):
         topo, priors, strips, cfg, f_mat, q_gens, _ = engine_case(
-            "near-parallel", kind, rng)
+            case, kind, rng)
         states = [NodeState(i, z) for i, z in enumerate(priors)]
+        fallback = fallback_nodes(topo, priors, strips)
         caplog.set_level(logging.WARNING)
+        caplog.clear()
         run_round(topo, states, strips, cfg, f_mat, q_gens)
         assert caplog.records == []
         caplog.set_level(logging.DEBUG, logger="zonodiff")
+        caplog.clear()
+        solves = GainCounter()
+        with solves.installed():
+            run_round(topo, states, strips, cfg, f_mat, q_gens)
+        assert [(r.name, r.levelno) for r in caplog.records] == (
+            [("zonodiff", logging.DEBUG)] * len(fallback))
+        assert (solves.calls < len(fallback)) == (case == "near-parallel-shared")
         for i, nbrs in enumerate(topo.neighbors):
             caplog.clear()
             local_update(states[i],
                          stack_strips([strips[j] for j in nbrs], priors[i].dim),
                          cfg, f_mat, q_gens)
-            fallback = frobenius_optimal_gain(
-                priors[i].generators, np.array([strips[j].h for j in nbrs]),
-                np.array([strips[j].r for j in nbrs]))[1]
             assert [(r.name, r.levelno) for r in caplog.records] == (
-                [("zonodiff", logging.DEBUG)] if fallback else [])
+                [("zonodiff", logging.DEBUG)] if i in fallback else [])
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_overflowing_center_on_reused_solve(self, kind):
+        # Two isolated nodes share a phase-1 key; node 1's prior center and
+        # measurement make its corrected center overflow. Whether node 1
+        # reuses node 0's solve or solves first, the round rejects it with
+        # the finiteness check of every corrected set.
+        g = np.array([[3.0, 1.0, 0.5], [0.0, 2.0, -1.0]])
+        priors = [Zonotope([0.0, 0.0], g), Zonotope([1e308, 1e308], g)]
+        strips = [Strip([1.0, 0.0], 0.0, 0.5),
+                  Strip([1.0, 0.0], -1.7e308, 0.5)]
+        cfg = ObserverConfig(kind=kind, q=20)
+        for order in ([0, 1], [1, 0]):
+            solves = GainCounter()
+            with (np.errstate(over="ignore", invalid="ignore"),
+                  solves.installed(),
+                  pytest.raises(ValueError,
+                                match="center must contain only finite")
+                  as error):
+                run_round(Topology(2, ((0,), (1,))),
+                          [NodeState(i, priors[j]) for i, j in enumerate(order)],
+                          [strips[j] for j in order], cfg, 8.0 * F_ROT,
+                          NO_NOISE)
+            # Raised by phase 1, not by phase 2's check of the fused sets.
+            assert "local_update" in [entry.name for entry in error.traceback]
+            # Node 0's solve only: the overflowing node solves itself only
+            # when it comes first.
+            assert solves.calls == 1
 
     def test_tiny_prior_round(self, rng):
         # Corrected sets of a 1e-156 prior have a subnormal beta whose
@@ -330,6 +445,22 @@ class TestRunSimulation:
             for za, zb in zip(ra, rb):
                 assert np.array_equal(za.center, zb.center)
                 assert np.array_equal(za.generators, zb.generators)
+
+    @pytest.mark.parametrize("neighbors", [2, 4, 6])
+    @pytest.mark.parametrize("kind, diffusion", [("sm", True), ("sm", False),
+                                                 ("iv", True), ("iv", False)])
+    def test_paper_ring_solves_two_gains_per_round(self, kind, diffusion,
+                                                   neighbors):
+        # In every round of the paper's ring the nodes of one parity hold
+        # the same prior generators and strip rows, so a round of eight
+        # node updates solves two gains.
+        model, presets = paper_scenario()
+        traj = simulate(model, 30, seed=4)
+        cfg = ObserverConfig(kind=kind, diffusion_enabled=diffusion)
+        solves = GainCounter()
+        with solves.installed():
+            run_simulation(model, presets[neighbors], cfg, traj)
+        assert solves.calls == 2 * (30 if kind == "sm" else 29)
 
     def test_interval_based_first_step_is_initial_set(self):
         model, presets = paper_scenario()

@@ -190,6 +190,44 @@ def test_vertices_are_homogeneous(j):
     assert all(same_bits(np.ldexp(v, j), g) for v, g in zip(want, got))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("center, gens, want", [
+    ([0.0, 0.0], [[1e308, 0.0], [0.0, 1e308]],
+     [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]),
+    ([0.0, 0.0], [[1.5e308, 1.5e308], [0.0, 1e300]],
+     [[-np.inf, -1e300], [0.0, -1e300], [np.inf, 1e300], [0.0, 1e300]]),
+    ([1.7e308, -1.7e308], [[1.0, 0.0], [0.0, 1.0]], [[1.7e308, -1.7e308]] * 4),
+], ids=["square", "beyond-range", "far-center"])
+def test_vertices_near_the_double_range(center, gens, want):
+    # Unscaled, the walk would overflow: it doubles each generator, starts
+    # at c - sum_j g_j and reflects through 2c. It is taken on the set
+    # scaled down by a power of two instead; a vertex beyond the double
+    # range comes back infinite, without a warning.
+    assert np.array_equal(vertices_2d(Zonotope(center, gens)), want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [1000, 1016, 1019, 1021])
+def test_vertices_scale_to_the_double_range(j):
+    # Sets scaled by 2^j up to the top of the double range: each set's
+    # vertices are its vertices at scale 1 scaled by 2^j, bit for bit, or
+    # infinite where that passes the range.
+    rng = np.random.default_rng(1019)
+    zs = []
+    for _ in range(300):
+        base = rng.normal(size=(2, 4))
+        gens = np.hstack([base, 2.0 * base[:, :2]])
+        zs.append(Zonotope(rng.normal(size=2),
+                           gens[:, rng.permutation(gens.shape[1])]))
+    want = zonotope._vertices_stack(zs)
+    got = zonotope._vertices_stack(
+        [Zonotope(np.ldexp(z.center, j), np.ldexp(z.generators, j))
+         for z in zs])
+    with np.errstate(over="ignore"):
+        assert all(same_bits(np.ldexp(v, j), g) for v, g in zip(want, got))
+    assert any(np.isinf(g).any() for g in got) == (j == 1021)
+
+
 def test_norms_match_linalg_norm():
     # Rows whose entries differ by at most 10^4 in magnitude, where
     # sqrt(x * x + y * y) rounds differently from np.linalg.norm.
