@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zonotope import Zonotope, checked_zonotope, stack_zonotopes
+from .zonotope import Zonotope, checked_zonotope
 
 __all__ = [
     "Strip",
@@ -40,10 +40,9 @@ _COND_LIMIT = 1e12
 _CERT_LIMIT = _COND_LIMIT / 1e4
 _TINY = float(np.finfo(float).tiny)
 # Outside these ranges of ||G||_F^2 and of r, the gain solve scales G and r
-# first; outside that of ||Gamma||_F^2, it scales Gamma and r before that.
+# first.
 _TRACE_RANGE = (2.0 ** -300, 2.0 ** 300)
 _R_RANGE = (2.0 ** -150, 2.0 ** 150)
-_GAMMA_RANGE = (2.0 ** -16, 2.0 ** 16)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,9 @@ def correct(center, gens, gamma, y, r, lam, front=None, noise=None):
     :func:`~zonodiff.network.run_round`, a node whose ``G``, ``Gamma`` and
     ``r`` equal an earlier node's, bit for bit, computes
     :func:`corrected_center` alone (30 of the 32 node updates of a
-    32-node paper ring, 6 of 8 of an 8-node one).
+    32-node paper ring, 6 of 8 of an 8-node one), and it shares that
+    node's corrected generator array, so that phase 2 diffuses, reduces
+    and propagates each distinct neighbourhood once per round.
     """
     out_center = corrected_center(center, gamma, y, lam, front)
     shrink = (np.eye(len(center)) if front is None else front) - lam @ gamma
@@ -191,27 +192,31 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
     ``front`` defaults to the identity (the pure measurement update); the
     Luenberger update passes the state matrix.
 
-    ``Lam`` is invariant under a joint scaling of ``G`` and ``r``, and a
-    joint scaling of ``Gamma`` and ``r`` by ``s`` divides it by ``s``.
-    Where ``||Gamma||_F^2`` is outside ``[2^-16, 2^16]``, ``Gamma`` and
-    ``r`` are first scaled by a power of two to ``max|Gamma|`` in ``[1/2,
-    1)``, and ``Lam`` back. Where ``||G||_F^2`` is then outside ``[2^-300,
-    2^300]`` or an ``r_j`` outside ``[2^-150, 2^150]``, ``G`` and ``r``
-    are scaled to ``max(|G|, r)`` in ``[1/2, 1)``, so that the normal
-    matrix neither overflows nor loses ``r^2`` to underflow. The scalings
-    are exact: the gain is that of the problem at scale 1, bit for bit.
-    One strip scaled alone is not normalised.
+    A strip ``(h_j, y_j, r_j)`` scaled by ``s`` is the same constraint,
+    and its gain column ``lam_j`` is divided by ``s``. So each row ``(h_j,
+    r_j)`` is first scaled by its own power of two to ``max|h_j|`` in
+    ``[1, 2)``, and column ``j`` of ``Lam`` back; unit rows are left as
+    they are. Where ``||G||_F^2`` is then outside ``[2^-300, 2^300]`` or
+    an ``r_j`` outside ``[2^-150, 2^150]``, ``G`` and ``r`` are scaled to
+    ``max(|G|, r)`` in ``[1/2, 1)``, so that the normal matrix neither
+    overflows nor loses ``r^2`` to underflow (``Lam`` is invariant under a
+    joint scaling of ``G`` and ``r``). The scalings are exact: ``2^k
+    (h_j, y_j, r_j)`` in place of a strip gives the normalised problem
+    bit for bit, and column ``j`` of the gain times ``2^-k``, which is
+    exact unless it falls into the subnormal range.
     """
     gens = np.asarray(prior_generators, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     r = np.asarray(r, dtype=float)
+    # Binary exponents of max|h_j|: 1 for a row in [1, 2). A Python set
+    # of them is cheaper than numpy's any() on a short vector.
+    top = np.frexp(np.abs(gamma).max(axis=1))[1]
+    rescaled = set(top.tolist()) != {1}
+    if rescaled:
+        shift = 1 - top
+        gamma, r = np.ldexp(gamma, shift[:, None]), np.ldexp(r, shift)
     # ||Gamma||_F^2 and ||G||_F^2, overflowing to inf without a warning.
     gamma_sq = float(np.vdot(gamma, gamma))
-    shift = 0
-    if not _GAMMA_RANGE[0] <= gamma_sq <= _GAMMA_RANGE[1]:
-        shift = math.frexp(float(np.abs(gamma).max()))[1]
-        gamma, r = np.ldexp(gamma, -shift), np.ldexp(r, -shift)
-        gamma_sq = float(np.vdot(gamma, gamma))
     trace = float(np.vdot(gens, gens))
     radii = r.tolist()
     if not (_TRACE_RANGE[0] <= trace <= _TRACE_RANGE[1]
@@ -231,7 +236,7 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
         lam, fallback = np.linalg.solve(normal, rhs).T, False
     else:
         lam, fallback = rhs.T @ np.linalg.pinv(normal), True
-    return (np.ldexp(lam, -shift) if shift else lam), fallback
+    return (np.ldexp(lam, shift) if rescaled else lam), fallback
 
 
 def _solve_certified(gamma_sq: float, trace: float, r_sq: np.ndarray) -> bool:
@@ -287,22 +292,26 @@ def diffusion_weights(beta: np.ndarray, k: np.ndarray) -> np.ndarray:
     points = beta == 0.0
     inv = np.ldexp(1.0 / np.where(points, 1.0, beta),
                    2 * (k.min(axis=-1, keepdims=True) - k))
+    w = inv / inv.sum(axis=-1, keepdims=True)
+    if not points.any():
+        return w
     n_points = points.sum(axis=-1, keepdims=True)
-    return np.where(n_points > 0, points / np.maximum(n_points, 1),
-                    inv / inv.sum(axis=-1, keepdims=True))
+    return np.where(n_points > 0, points / np.maximum(n_points, 1), w)
 
 
-def combine(w, centers, gens, col_weights):
-    """Weighted combination of gathered zonotopes, row by row.
+def combined_center(w, centers):
+    """``sum_j w_j c_j / sum_j w_j`` row by row, the center of the weighted
+    combination of gathered zonotopes: ``w (B, m)`` weights the centers
+    ``(B, m, n)``. The one part of the combination that reads data."""
+    return (w[:, :, None] * centers).sum(axis=1) / w.sum(axis=1)[:, None]
 
-    ``w (B, m)`` weights the centers ``(B, m, n)``; ``gens (B, n, W)`` holds
-    the members' generators side by side and ``col_weights (B, W)`` the
-    weight of the member each column belongs to. Returns
-    ``(sum_j w_j c_j / sum_j w_j, [w_1 G_1, ..., w_m G_m] / sum_j w_j)``.
-    """
-    total = w.sum(axis=1)
-    center = (w[:, :, None] * centers).sum(axis=1) / total[:, None]
-    return center, gens * col_weights[:, None, :] / total[:, None, None]
+
+def combined_generators(w, gens, col_weights):
+    """``[w_1 G_1, ..., w_m G_m] / sum_j w_j`` row by row, the generators
+    of the weighted combination: ``gens (B, n, W)`` holds the members'
+    generators side by side and ``col_weights (B, W)`` the weight of the
+    member each column belongs to."""
+    return gens * col_weights[:, None, :] / w.sum(axis=1)[:, None, None]
 
 
 def intersect_zonotopes(zs, w) -> Zonotope:
@@ -330,10 +339,11 @@ def intersect_zonotopes(zs, w) -> Zonotope:
     if any(z.dim != dim for z in zs):
         raise ValueError("all zonotopes must share one dimension")
     widths = [z.n_generators for z in zs]
-    center, gens = combine(w[None], np.stack([z.center for z in zs])[None],
-                           np.hstack([z.generators for z in zs])[None],
-                           np.repeat(w, widths)[None])
-    return stack_zonotopes(center, gens)[0]
+    center = combined_center(w[None], np.stack([z.center for z in zs])[None])
+    gens = combined_generators(w[None],
+                               np.hstack([z.generators for z in zs])[None],
+                               np.repeat(w, widths)[None])
+    return checked_zonotope(center[0], gens[0])
 
 
 def optimal_diffusion_weights(zs) -> np.ndarray:

@@ -56,20 +56,49 @@ def hausdorff_2d(a: Zonotope, b: Zonotope) -> float:
     """Hausdorff distance between the vertex sets of two 2-D zonotopes.
 
     Computed over the discrete vertex sets (not the filled polygons), which
-    is the cross-node agreement measure used in the evaluation tables.
+    is the cross-node agreement measure used in the evaluation tables. Sets
+    whose vertices or distances pass the double range are measured scaled
+    down by a power of two; a distance beyond the range is inf, without a
+    warning.
     """
-    return float(_pairs_hausdorff(_vertices_stack([a, b]), [(0, 1)])[0])
+    zs = [a, b]
+    return float(_pairs_hausdorff(zs, _vertices_stack(zs), [(0, 1)])[0])
 
 
-def _pairs_hausdorff(verts, pairs) -> np.ndarray:
+def _pairs_hausdorff(zs, verts, pairs) -> np.ndarray:
     """Hausdorff distance between the vertex arrays ``verts[a]`` and
-    ``verts[b]`` for every pair ``(a, b)``: one ``cdist`` per pair, then the
-    minima and maxima of all the distance matrices at once. Min and max are
-    exact, so the values do not depend on which pairs are reduced
-    together."""
+    ``verts[b]`` of the sets ``zs[a]`` and ``zs[b]`` for every pair ``(a,
+    b)``: one ``cdist`` per pair, then the minima and maxima of all the
+    distance matrices at once. Min and max are exact, so the values do not
+    depend on which pairs are reduced together.
+
+    A vertex past the double range is +-inf and ``cdist`` squares the
+    differences, so a pair near 1.8e308 can give NaN or a false inf. Such
+    a pair is measured again on both sets scaled by ``2^-k``, ``k`` the
+    binary exponent of their largest entry, and scaled back: the same
+    bits wherever nothing underflows, and inf, without a warning, where
+    the distance passes the range. This costs one finiteness test per
+    call, not per pair.
+    """
     dists = [cdist(verts[a], verts[b]) for a, b in pairs]
-    return np.maximum(_farthest_nearest([d.T for d in dists]),
-                      _farthest_nearest(dists))
+    out = np.maximum(_farthest_nearest([d.T for d in dists]),
+                     _farthest_nearest(dists))
+    if not np.isfinite(out).all():
+        for p in np.flatnonzero(~np.isfinite(out)).tolist():
+            out[p] = _scaled_hausdorff(zs[pairs[p][0]], zs[pairs[p][1]])
+    return out
+
+
+def _scaled_hausdorff(a: Zonotope, b: Zonotope) -> float:
+    # Scaled to a largest entry below 1, every vertex of the two sets is
+    # below e + 1 in magnitude, so neither the walk nor cdist overflows.
+    k = max(int(np.frexp(np.abs(x).max(initial=0.0))[1])
+            for z in (a, b) for x in (z.center, z.generators))
+    zs = [Zonotope(np.ldexp(z.center, -k), np.ldexp(z.generators, -k))
+          for z in (a, b)]
+    d = _pairs_hausdorff(zs, _vertices_stack(zs), [(0, 1)])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(d[0], k))
 
 
 def _farthest_nearest(blocks) -> np.ndarray:
@@ -171,10 +200,12 @@ def summarize(records: Records, estimates=None, burn_in: int = 5):
         # step one distance matrix per node pair and one padded min/max
         # reduction of all of them.
         nodes = len(estimates[0])
-        verts = _vertices_stack([z for row in estimates for z in row])
+        flat = [z for row in estimates for z in row]
+        verts = _vertices_stack(flat)
         pairs = list(combinations(range(nodes), 2))
-        hausdorff = np.array([_pairs_hausdorff(verts[s:s + nodes], pairs)
-                              for s in range(0, len(verts), nodes)])
+        hausdorff = np.array([
+            _pairs_hausdorff(flat[s:s + nodes], verts[s:s + nodes], pairs)
+            for s in range(0, len(verts), nodes)])
 
     steps = StepSummary(
         records.radius.mean(axis=1), records.radius.std(axis=1),

@@ -10,7 +10,8 @@ affect results. Phase 1 runs node
 by node through :func:`~zonodiff.observers.local_update` on the rows of
 the round's stacked strip arrays, with one memo per round, so that the
 gain is solved once per distinct prior generator matrix and strip rows;
-phase 2 runs for all nodes at once on stacked arrays.
+phase 2 runs on stacked arrays and diffuses, reduces and propagates each
+distinct neighbourhood once per round: only the centers are per node.
 """
 
 from __future__ import annotations
@@ -21,16 +22,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .intersection import diffusion_weights, squared_f_radius, stack_strips
+from .intersection import (
+    combined_center,
+    diffusion_weights,
+    squared_f_radius,
+    stack_strips,
+)
 from .observers import (
     NodeState,
     ObserverConfig,
     ObserverKind,
     check_budget,
-    diffusion_stack,
+    diffusion_generators,
     dynamics,
     local_update,
-    time_update_stack,
+    time_update_centers,
+    time_update_generators,
 )
 from .zonotope import stack_zonotopes
 
@@ -177,13 +184,17 @@ def run_round(topology: Topology, node_states, measurements,
     earlier node's, bit for bit, reuses that node's gain and generators
     and computes only its center. In the paper's rings the nodes of one
     parity match, so a round solves two gains whatever the ring's size.
-    Phase 2 is one diffusion for all nodes at once on stacked
-    arrays, one batch per neighborhood size, or with diffusion off one
-    batch in which each node fuses its own set alone, with the same
-    kernels as the per-node functions of :mod:`zonodiff.observers`. A
+    Phase 2 is one diffusion on stacked arrays, one batch per
+    neighborhood size, or with diffusion off one batch in which each node
+    fuses its own set alone, with the same kernels as the per-node
+    functions of :mod:`zonodiff.observers`. It diffuses, reduces and
+    (set-membership) propagates each distinct neighbourhood once per
+    round: nodes whose members hold the same corrected generator arrays
+    share the weights and generators and compute only their centers, so
+    a paper ring has two distinct neighbourhoods per round at any size. A
     node's result depends only on its own neighborhood, so it is
-    independent of the batching and of node order. Callers time around
-    this function if needed.
+    independent of the batching, of the sharing and of node order.
+    Callers time around this function if needed.
     """
     states = list(node_states)
     n_nodes = topology.n_nodes
@@ -214,12 +225,13 @@ def run_round(topology: Topology, node_states, measurements,
     else:
         alone = np.arange(n_nodes)
         batches = [(alone, alone[:, None])]
-    fused = _diffuse(batches, corrected, cfg.q)
-    estimates = _materialize(fused, n_nodes)
+    centers, groups = _diffuse(batches, corrected, cfg.q)
+    estimates = _materialize(centers, groups, n_nodes)
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
         carried = _materialize(
-            [(nodes, *time_update_stack(c, g, f_mat, noise))
-             for nodes, c, g in fused], n_nodes)
+            time_update_centers(centers, f_mat),
+            [(nodes, rows, time_update_generators(g, f_mat, noise))
+             for nodes, rows, g in groups], n_nodes)
     else:
         carried = estimates
     new_states = [NodeState(i, z) for i, z in enumerate(carried)]
@@ -231,38 +243,74 @@ def run_round(topology: Topology, node_states, measurements,
     return new_states, trace
 
 
-def _materialize(groups, n_nodes: int) -> list:
-    """Per-node zonotopes, in node order, from ``(nodes, centers, gens)``
-    groups that cover every node once."""
+def _materialize(centers, groups, n_nodes: int) -> list:
+    """Per-node zonotopes, in node order, from the centers ``(N, n)`` and
+    ``(nodes, rows, gens)`` groups that cover every node once: node
+    ``nodes[b]`` holds the generators ``gens[rows[b]]``."""
     out = [None] * n_nodes
-    for nodes, c, g in groups:
-        for i, z in zip(nodes.tolist(), stack_zonotopes(c, g)):
+    for nodes, rows, gens in groups:
+        for i, z in zip(nodes.tolist(),
+                        stack_zonotopes(centers[nodes], gens, rows)):
             out[i] = z
     return out
 
 
-def _diffuse(batches, corrected, q: int) -> list:
-    """Diffusion of the corrected sets over ``(nodes, neighbors)`` batches,
-    split by total generator count: each row's members are gathered from
-    one side-by-side store of all corrected generators."""
-    centers = np.stack([z.center for z in corrected])
-    beta, k = squared_f_radius([z.generators for z in corrected])
-    widths = np.array([z.n_generators for z in corrected])
-    store = np.concatenate([z.generators for z in corrected], axis=1)
+def _diffuse(batches, corrected, q: int) -> tuple:
+    """Diffusion of the corrected sets over ``(nodes, neighbors)`` batches:
+    the fused centers ``(N, n)`` and ``(nodes, rows, gens)`` groups as
+    :func:`_materialize` takes them.
+
+    The weights and generators never read data, and nodes that share a
+    phase-1 solve share one generator array, so each distinct tuple of
+    member arrays (by identity, in member order) is weighted, combined and
+    reduced once, gathered from one store of the distinct arrays and split
+    by total generator count; each node combines its own members' centers
+    at its tuple's weights. Equal bits in distinct arrays are computed
+    apart, to the same result.
+    """
+    arrays = {id(z.generators): z.generators for z in corrected}
+    slot = dict(zip(arrays, range(len(arrays))))
+    member = np.array([slot[id(z.generators)] for z in corrected])
+    mats = list(arrays.values())
+    beta, k = squared_f_radius(mats)
+    widths = np.array([g.shape[1] for g in mats])
+    store = np.concatenate(mats, axis=1)
     starts = np.cumsum(widths) - widths
-    fused = []
+    centers = np.array([z.center for z in corrected])
+    fused = np.empty_like(centers)
+    groups = []
     for nodes, nbrs in batches:
-        total = widths[nbrs].sum(axis=1)
-        for w in np.unique(total):
-            part, members = nodes[total == w], nbrs[total == w]
+        # Row b holds distinct tuple row_of[b]; tuple d first occurs in
+        # row first[d].
+        keys = member[nbrs]
+        tuples, row_of, first = {}, [], []
+        for b, key in enumerate(map(tuple, keys.tolist())):
+            row_of.append(tuples.setdefault(key, len(first)))
+            if row_of[-1] == len(first):
+                first.append(b)
+        row_of = np.array(row_of)
+        distinct = keys[first]
+        w = diffusion_weights(beta[distinct], k[distinct])
+        fused[nodes] = combined_center(w[row_of], centers[nbrs])
+        total = widths[distinct].sum(axis=1)
+        for width in sorted(set(total.tolist())):
+            part = np.flatnonzero(total == width)
+            members = distinct[part]
             member_widths = widths[members]
             cols = _member_columns(starts[members], member_widths)
             gens = np.ascontiguousarray(store[:, cols].transpose(1, 0, 2))
-            w = diffusion_weights(beta[members], k[members])
-            groups = diffusion_stack(w, centers[members], member_widths,
-                                     gens, q)
-            fused += [(part[rows], c, g) for rows, c, g in groups]
-    return fused
+            for rows, reduced in diffusion_generators(w[part], member_widths,
+                                                      gens, q):
+                if len(rows) == len(first):
+                    # Every tuple, in order: row d of reduced is tuple d.
+                    groups.append((nodes, row_of, reduced))
+                    continue
+                at = np.full(len(first), -1)
+                at[part[rows]] = np.arange(len(rows))
+                node_rows = at[row_of]
+                mine = node_rows >= 0
+                groups.append((nodes[mine], node_rows[mine], reduced))
+    return fused, groups
 
 
 def _member_columns(starts, widths) -> np.ndarray:

@@ -13,7 +13,8 @@ Both observers carry one zonotope per node between rounds. Within a round:
 The functions here are pure; the network module enforces the round
 barriers and delivers neighborhood inputs. The network round runs the
 local update node by node and the fusion and time update as stack kernels
-that update many nodes at once; the per-node fusion and time update run
+that update many nodes at once, each split into a generator half that
+reads no data and a center half; the per-node fusion and time update run
 the same kernels on stacks of one, so a node gets the same result alone as
 in a network round.
 """
@@ -27,7 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .intersection import (
-    combine,
+    combined_center,
+    combined_generators,
     correct,
     corrected_center,
     frobenius_optimal_gain,
@@ -38,9 +40,9 @@ from .zonotope import (
     Zonotope,
     _check_finite,
     checked_zonotope,
+    recentered,
     reduce,
     reduce_stack,
-    stack_zonotopes,
 )
 
 __all__ = [
@@ -91,34 +93,37 @@ class NodeState:
     estimate: Zonotope
 
 
-# Stack kernels of phase 2. Each runs one step for a stack of B nodes at
-# once and returns the new sets as a list of (rows, centers, generators)
-# groups, one per output generator count, rows indexing the input stack.
-# The per-node fusion and time update below run the same kernels on stacks
-# of one.
+# Stack kernels of phase 2. Each runs one step for a stack of B rows at
+# once, every row alone: a row gets the same bits in any stack. The
+# generators never read data, so the network round runs the generator
+# kernels once per distinct row and the center kernels per node. The
+# per-node fusion and time update below run the same kernels on stacks of
+# one.
 
-def diffusion_stack(w, centers, widths, gens, q) -> list:
-    """Diffusion of gathered neighborhoods at weights ``w``: weighted
-    combination, then reduction to ``q``.
+def diffusion_generators(w, widths, gens, q) -> list:
+    """Generators of the diffusion of gathered neighborhoods at weights
+    ``w``: the weighted combination's generators, reduced to ``q``, as
+    :func:`~zonodiff.zonotope.reduce_stack`'s ``(rows, reduced)`` groups.
+    The centers are :func:`~zonodiff.intersection.combined_center` at the
+    same weights.
 
-    Per member ``j`` of row ``b``: ``w[b, j]`` its weight,
-    ``centers[b, j]`` its center and ``widths[b, j]`` its generator count;
-    ``gens[b]`` holds the members' generators side by side in member order.
+    Per member ``j`` of row ``b``: ``w[b, j]`` its weight and
+    ``widths[b, j]`` its generator count; ``gens[b]`` holds the members'
+    generators side by side in member order.
     """
     col_weights = np.repeat(w.ravel(), widths.ravel()).reshape(len(w), -1)
-    center, out = combine(w, centers, gens, col_weights)
-    return [(rows, center[rows], g) for rows, g in reduce_stack(out, q)]
+    return reduce_stack(combined_generators(w, gens, col_weights), q)
 
 
-def time_update_stack(centers, gens, f_matrix, noise):
-    """``<F c, [F G, Q]>`` row by row; returns ``(centers, gens)``."""
-    return ((f_matrix @ centers[:, :, None])[:, :, 0],
-            np.concatenate([f_matrix @ gens, _stacked(noise, len(gens))],
-                           axis=2))
+def time_update_centers(centers, f_matrix):
+    """``F c`` row by row, the centers of the time update."""
+    return (f_matrix @ centers[:, :, None])[:, :, 0]
 
 
-def _stacked(noise: np.ndarray, batch: int) -> np.ndarray:
-    return np.repeat(noise[None], batch, axis=0)
+def time_update_generators(gens, f_matrix, noise):
+    """``[F G, Q]`` row by row, the generators of the time update."""
+    return np.concatenate(
+        [f_matrix @ gens, np.repeat(noise[None], len(gens), axis=0)], axis=2)
 
 
 def dynamics(f_matrix, q_generators, n: int) -> tuple:
@@ -157,14 +162,15 @@ def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None, q=None,
     alone. ``memo``, a dict shared by calls with one ``front``, ``noise``
     and ``q``, stores them under the exact input of that data-free step
     (:func:`_shape_key`), and a call that finds its key computes only the
-    center, with the expression of :func:`correct`.
+    center, with the expression of :func:`correct`, and checks only that:
+    it returns the stored generator array itself, checked when stored.
     """
     if memo is not None:
         key = _shape_key(z.generators, gamma, r)
         if key in memo:
             lam, fallback, gens = memo[key]
             _note_fallback(fallback, len(r))
-            return checked_zonotope(
+            return recentered(
                 corrected_center(z.center, gamma, y, lam, front), gens)
     lam, fallback = frobenius_optimal_gain(z.generators, gamma, r, front)
     _note_fallback(fallback, len(r))
@@ -207,19 +213,20 @@ def sm_diffusion_update(shared, q: int) -> Zonotope:
         raise ValueError("all zonotopes must share one dimension")
     check_budget(q, dim)
     gens = [z.generators for z in shared]
-    [(_, center, out)] = diffusion_stack(
-        optimal_diffusion_weights(shared)[None],
-        np.stack([z.center for z in shared])[None],
-        np.array([g.shape[1] for g in gens])[None],
-        np.hstack(gens)[None], q)
-    return stack_zonotopes(center, out)[0]
+    w = optimal_diffusion_weights(shared)[None]
+    [(_, out)] = diffusion_generators(
+        w, np.array([g.shape[1] for g in gens])[None], np.hstack(gens)[None],
+        q)
+    center = combined_center(w, np.stack([z.center for z in shared])[None])
+    return checked_zonotope(center[0], out[0])
 
 
 def sm_time_update(z: Zonotope, f_matrix, q_generators) -> Zonotope:
     """Propagate through the dynamics and add the process-noise zonotope."""
-    center, gens = time_update_stack(z.center[None], z.generators[None],
-                                     *dynamics(f_matrix, q_generators, z.dim))
-    return stack_zonotopes(center, gens)[0]
+    f_mat, noise = dynamics(f_matrix, q_generators, z.dim)
+    return checked_zonotope(
+        time_update_centers(z.center[None], f_mat)[0],
+        time_update_generators(z.generators[None], f_mat, noise)[0])
 
 
 def iv_luenberger_update(state: NodeState, strips, f_matrix, q_generators,
@@ -256,10 +263,12 @@ def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
     generators (reduced, for the interval-based observer) never read a
     measurement, so they are computed once per distinct prior generator
     matrix, with its layout, and strip rows ``(Gamma, r)``, bit for bit;
-    each further node with that key computes only its center. In the
-    paper's rings the nodes of one parity share a key: 30 of the 32 node
-    calls of a 32-node ring round, and 6 of 8 in an 8-node one, reuse a
-    solve. Without ``memo`` every call solves.
+    each further node with that key computes only its center and returns
+    the stored generator array itself. In the paper's rings the nodes of
+    one parity share a key: 30 of the 32 node calls of a 32-node ring
+    round, and 6 of 8 in an 8-node one, reuse a solve. Nodes that share
+    the arrays let phase 2 diffuse, reduce and propagate each distinct
+    neighbourhood once per round. Without ``memo`` every call solves.
     """
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
         return _corrected(state.estimate, *strips, memo=memo)

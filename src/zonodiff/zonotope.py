@@ -109,29 +109,49 @@ class Zonotope:
                    np.asarray(data["generators"], dtype=float))
 
 
-def stack_zonotopes(centers: np.ndarray, gens: np.ndarray) -> list[Zonotope]:
-    """One :class:`Zonotope` per row of a stack: centers ``(B, n)`` and
-    generators ``(B, n, e)``.
+def stack_zonotopes(centers: np.ndarray, gens: np.ndarray,
+                    rows: np.ndarray) -> list[Zonotope]:
+    """One :class:`Zonotope` per row of a stack of centers ``(B, n)``: row
+    ``b`` over the generator matrix ``gens[rows[b]]`` of a stack ``(D, n,
+    e)``.
 
-    One finiteness check covers the whole stack, and the zonotopes hold
-    read-only views of it.
+    One finiteness check covers each stack, and the zonotopes hold
+    read-only views of it; rows that name one matrix share its view.
     """
     _check_finite(centers, "center")
     _check_finite(gens, "generators")
     centers.flags.writeable = False
     gens.flags.writeable = False
-    return [Zonotope._trusted(c, g) for c, g in zip(centers, gens)]
+    mats = list(gens)
+    return [Zonotope._trusted(c, mats[r])
+            for c, r in zip(centers, rows.tolist())]
 
 
 def checked_zonotope(center: np.ndarray, gens: np.ndarray) -> Zonotope:
     """:class:`Zonotope` of a freshly computed length-``n`` center and
     ``n x e`` generator matrix: one finiteness check of each, then both
     are frozen in place rather than copied."""
-    _check_finite(center, "center")
+    _check_center(center)
     _check_finite(gens, "generators")
     center.flags.writeable = False
     gens.flags.writeable = False
     return Zonotope._trusted(center, gens)
+
+
+def recentered(center: np.ndarray, gens: np.ndarray) -> Zonotope:
+    """:class:`Zonotope` of a freshly computed length-``n`` center over the
+    read-only generators of a set built and checked earlier: only the
+    center is checked, and frozen in place."""
+    _check_center(center)
+    center.flags.writeable = False
+    return Zonotope._trusted(center, gens)
+
+
+def _check_center(center: np.ndarray) -> None:
+    # Python floats: about a sixth of the cost of np.isfinite on a
+    # 2-vector.
+    if not all(map(math.isfinite, center.tolist())):
+        raise ValueError("center must contain only finite values")
 
 
 def _norm(x: np.ndarray) -> float:

@@ -326,7 +326,8 @@ class TestGainCertificate:
 @pytest.mark.filterwarnings("error")
 class TestGainScaling:
     """The gain is invariant under a joint scaling of ``G`` and ``r``, and
-    a joint scaling of ``Gamma`` and ``r`` divides it by the scale."""
+    scaling one strip's ``h`` and ``r`` divides that strip's column by the
+    scale."""
 
     GAMMA = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
@@ -373,6 +374,26 @@ class TestGainScaling:
             assert not fallback
             assert np.allclose(s * lam, want, rtol=1e-14, atol=1e-15)
 
+    def test_one_strip_scaled_alone(self):
+        # The first strip scaled alone: at 1e100, 1e200 and 1e-200 the
+        # normal matrix once lost it, the solve fell back to pinv and the
+        # gain dropped strips.
+        want = np.array([[1 / 3, 0.0, 1 / 3], [0.0, 0.5, 0.0]])
+        for s in (1e-300, 1e-200, 1e-100, 1e-5, 3.0, 1e100, 1e200, 1e300):
+            lam, fallback = frobenius_optimal_gain(
+                np.eye(2), self.GAMMA * [[s], [1.0], [1.0]], np.array(
+                    [s, 1.0, 1.0]))
+            assert not fallback
+            assert np.allclose(lam * [s, 1.0, 1.0], want, rtol=1e-14,
+                               atol=1e-15)
+        unit, _ = frobenius_optimal_gain(np.eye(2), self.GAMMA, np.ones(3))
+        for p in range(-1000, 1001, 25):
+            s = 2.0 ** p
+            lam, _ = frobenius_optimal_gain(
+                np.eye(2), self.GAMMA * [[1.0], [s], [1.0]], np.array(
+                    [1.0, s, 1.0]))
+            assert np.array_equal(lam * [1.0, s, 1.0], unit)
+
     def test_strip_power_of_two_scales_give_the_same_bits(self, rng):
         cases = [(np.eye(2), self.GAMMA, np.ones(3), None, 1)]
         for _ in range(40):
@@ -389,6 +410,13 @@ class TestGainScaling:
                                                  front)
                 assert fb == fallback
                 assert np.array_equal(s * lam, want)
+                # One strip alone, each in turn.
+                for j in range(len(r)):
+                    scale = np.where(np.arange(len(r)) == j, s, 1.0)
+                    lam, fb = frobenius_optimal_gain(
+                        gens, scale[:, None] * gamma, scale * r, front)
+                    assert fb == fallback
+                    assert np.array_equal(lam * scale, want)
 
 
 class TestLuenbergerGainForm:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -117,10 +119,63 @@ class TestHausdorff:
             verts = [vertices_2d(z) for z in zs]
             assert len({len(v) for v in verts}) > 2
             pairs = list(combinations(range(8), 2))
-            got = metrics._pairs_hausdorff(verts, pairs)
+            got = metrics._pairs_hausdorff(zs, verts, pairs)
             want = [hausdorff_2d(zs[a], zs[b]) for a, b in pairs]
             assert got.tolist() == want
 
+    @pytest.mark.filterwarnings("error")
+    def test_near_the_top_of_the_double_range(self):
+        # The 1e308 square's vertices are finite but cdist squares their
+        # differences; two sets whose vertices pass 1.8e308 have infinite
+        # vertices. Both are measured scaled down by a power of two.
+        unit = Zonotope([0.0, 0.0], np.eye(2))
+        big = Zonotope([0.0, 0.0], 1e308 * np.eye(2))
+        assert hausdorff_2d(big, unit) == pytest.approx(
+            math.hypot(1e308 - 1.0, 1e308 - 1.0), rel=1e-15)
+        a = Zonotope([1e308, 0.0], np.diag([1e308, 1.0]))
+        b = Zonotope([1e308 + 1e300, 0.0], np.diag([1e308, 1.0]))
+        assert hausdorff_2d(a, b) == pytest.approx(
+            b.center[0] - a.center[0], rel=1e-6)
+        # A distance beyond the double range is inf, without a warning.
+        far = [Zonotope([s * 1.5e308, 0.0], np.diag([1e307, 1.0]))
+               for s in (-1.0, 1.0)]
+        assert hausdorff_2d(*far) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_of_two_scales_up_to_the_top(self, rng):
+        # Scaling both sets by 2^j scales the distance by 2^j, bit for bit,
+        # up to the top of the range, where vertices pass it; a distance
+        # past it is inf.
+        for _ in range(5):
+            a, b = (random_zonotope(rng, 2, int(rng.integers(1, 8)))
+                    for _ in range(2))
+            top = max(np.abs(x).max() for z in (a, b)
+                      for x in (z.center, z.generators))
+            k = -int(np.frexp(top)[1])  # largest entry in [1/2, 1)
+            want = hausdorff_2d(*(Zonotope(np.ldexp(z.center, k),
+                                           np.ldexp(z.generators, k))
+                                  for z in (a, b)))
+            for j in (0, 500, 1015, 1019, 1021, 1022, 1023, 1024):
+                got = hausdorff_2d(*(Zonotope(np.ldexp(z.center, k + j),
+                                              np.ldexp(z.generators, k + j))
+                                     for z in (a, b)))
+                with np.errstate(over="ignore"):
+                    assert got == np.ldexp(want, j)
+
+    @pytest.mark.filterwarnings("error")
+    def test_summary_near_the_top_of_the_double_range(self):
+        # Per-step Hausdorff values of sets near 1.8e308 are the pairs'
+        # distances, not NaN or a false inf.
+        unit = Zonotope([0.0, 0.0], np.eye(2))
+        big = Zonotope([0.0, 0.0], 1e308 * np.eye(2))
+        a = Zonotope([1e308, 0.0], np.diag([1e308, 1.0]))
+        b = Zonotope([1e308 + 1e300, 0.0], np.diag([1e308, 1.0]))
+        steps, run = summarize(constant_records(2, 2, 1.0, 0.0),
+                               [[a, b], [big, unit]], burn_in=1)
+        want = [hausdorff_2d(a, b), hausdorff_2d(big, unit)]
+        assert all(map(math.isfinite, want))
+        assert steps.hausdorff_mean.tolist() == want
+        assert run.hausdorff_mean == want[1]
 
 class TestLeanNorm:
     def test_matches_numpy_norm(self, rng):

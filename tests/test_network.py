@@ -2,6 +2,7 @@ import functools
 import json
 import logging
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from zonodiff import (
     ObserverConfig,
     Strip,
     Topology,
+    Trajectory,
     Zonotope,
     contains_point,
     f_radius,
@@ -21,9 +23,10 @@ from zonodiff import (
     topology_from_json,
     topology_to_json,
 )
-from zonodiff import observers
+from zonodiff import network, observers
 from zonodiff.intersection import frobenius_optimal_gain, stack_strips
 from zonodiff.observers import fuse_update, local_update
+from zonodiff.zonotope import reduce_stack
 from zonodiff.plant import paper_scenario, simulate
 
 from conftest import paper_run
@@ -40,10 +43,13 @@ ENGINE_CASES = ["ring-k0", "ring-k2", "ring-k4", "ring-k6", "irregular",
                 "point-prior", "near-parallel", "no-noise", "diffusion-off",
                 "irregular-off", "near-parallel-off", "n4", "parity-ring",
                 "parity-ring-off", "per-node-strips", "per-node-strips-off",
-                "layout", "layout-off", "near-parallel-shared"]
+                "layout", "layout-off", "near-parallel-shared", "complete"]
 # Distinct phase-1 keys of the cases built to share them, or to share none.
 SHARED_KEYS = {"parity-ring": 2, "per-node-strips": 8, "layout": 8,
-               "near-parallel-shared": 2}
+               "near-parallel-shared": 2, "complete": 8}
+# The complete graph, each list the node and then the others in order:
+# every neighborhood holds the same members, in a different order.
+COMPLETE = tuple((i, *(j for j in range(8) if j != i)) for i in range(8))
 
 
 def engine_case(name, kind, rng):
@@ -59,7 +65,9 @@ def engine_case(name, kind, rng):
     node 5 a narrower strip: nodes 0 and 2 differ in layout alone, and
     nodes 0, 4 and 6 in the half-widths alone.
     "per-node-strips" gives the irregular graph's nodes one generator
-    matrix and a strip direction each, so that no two share a key."""
+    matrix and a strip direction each, so that no two share a key.
+    "complete" gives the parity ring's priors to the complete graph, whose
+    neighborhoods list the same members in different orders."""
     diffusion = not name.endswith("-off")
     name = name.removesuffix("-off")
     dim = 4 if name == "n4" else 2
@@ -67,6 +75,8 @@ def engine_case(name, kind, rng):
     irregular = name in ("irregular", "per-node-strips")
     topo = Topology(8, IRREGULAR) if irregular else ring_topology(
         8, int(name[-1]) if name.startswith("ring") else 4)
+    if name == "complete":
+        topo = Topology(8, COMPLETE)
     counts = [3] * 8
     if name == "irregular":
         counts = [2, 3, 4, 25, 5, 9, 2, 25]  # mixed, some above q
@@ -77,7 +87,7 @@ def engine_case(name, kind, rng):
         gens = rng.normal(size=(dim, counts[i])) * 4.0
         if name == "irregular" and i in (2, 7):
             gens[:, 1] = 0.0  # zero columns dropped only when reducing
-        if name in ("parity-ring", "near-parallel-shared"):
+        if name in ("parity-ring", "near-parallel-shared", "complete"):
             gens = shared[i % 2]
         elif name in ("layout", "per-node-strips"):
             gens = np.asfortranarray(shared[0]) if (
@@ -137,6 +147,30 @@ class GainCounter:
 
     def installed(self):
         return mock.patch.object(observers, "frobenius_optimal_gain", self)
+
+
+class ReduceCounter:
+    """Counts the rows that phase 2 reduces, per call, while installed as
+    the ``reduce_stack`` of :mod:`zonodiff.observers`."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, gens, q):
+        self.rows.append(len(gens))
+        return reduce_stack(gens, q)
+
+    def installed(self):
+        return mock.patch.object(observers, "reduce_stack", self)
+
+
+def distinct_neighbourhoods(trace, diffusion):
+    """Count of distinct tuples of corrected generator arrays, in member
+    order, over the neighbourhoods of one round (each node alone with
+    diffusion off)."""
+    return len({tuple(id(z.generators) for j, z in delivered
+                      if diffusion or j == i)
+                for i, delivered in enumerate(trace.sets_delivered)})
 
 
 def fallback_nodes(topo, priors, strips):
@@ -298,6 +332,63 @@ class TestRunRound:
             assert contains_point(nxt.estimate, f_mat @ truth + noise, 1e-7)
             if kind == "sm":
                 assert contains_point(fused, truth, 1e-7)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    @pytest.mark.parametrize("case", ["parity-ring", "parity-ring-off",
+                                      "per-node-strips",
+                                      "per-node-strips-off", "irregular",
+                                      "complete"])
+    def test_phase_two_reduces_each_distinct_neighbourhood_once(self, case,
+                                                                kind, rng):
+        # Phase 2 reduces one row per distinct tuple of member arrays: 2 in
+        # the parity ring, where the nodes of one parity share their
+        # corrected sets, and one per node where no two nodes share a
+        # phase-1 key.
+        topo, priors, strips, cfg, f_mat, q_gens, _ = engine_case(
+            case, kind, rng)
+        counter = ReduceCounter()
+        with counter.installed():
+            _, trace = run_round(topo, [NodeState(i, z) for i, z in
+                                        enumerate(priors)],
+                                 strips, cfg, f_mat, q_gens)
+        want = {"parity-ring": 2, "per-node-strips": 8, "irregular": 8,
+                "complete": 8}
+        assert sum(counter.rows) == want[case.removesuffix("-off")]
+        assert sum(counter.rows) == distinct_neighbourhoods(
+            trace, cfg.diffusion_enabled)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    @pytest.mark.parametrize("case", ["parity-ring", "parity-ring-off",
+                                      "irregular", "ring-k6"])
+    def test_equal_bits_in_distinct_arrays(self, case, kind, rng):
+        # Every corrected set copied into its own arrays: the rows share no
+        # array, so phase 2 computes each node apart, and every result is
+        # the same, bit for bit, as with the shared arrays.
+        topo, priors, strips, cfg, f_mat, q_gens, _ = engine_case(
+            case, kind, rng)
+        states = [NodeState(i, z) for i, z in enumerate(priors)]
+
+        def copied(*args, **kwargs):
+            z = local_update(*args, **kwargs)
+            return Zonotope(z.center, z.generators.copy())
+
+        shared, apart = ReduceCounter(), ReduceCounter()
+        with shared.installed():
+            want_states, want = run_round(topo, states, strips, cfg, f_mat,
+                                          q_gens)
+        with apart.installed(), mock.patch.object(network, "local_update",
+                                                  copied):
+            got_states, got = run_round(topo, states, strips, cfg, f_mat,
+                                        q_gens)
+        assert sum(apart.rows) == 8
+        if case.startswith("parity-ring"):
+            assert sum(shared.rows) == 2
+        for a, b in [*zip(got.round_estimates, want.round_estimates),
+                     *((x.estimate, y.estimate)
+                       for x, y in zip(got_states, want_states))]:
+            assert a.center.tobytes() == b.center.tobytes()
+            assert a.generators.shape == b.generators.shape
+            assert a.generators.tobytes() == b.generators.tobytes()
 
     @pytest.mark.parametrize("kind", ["sm", "iv"])
     def test_huge_prior_round(self, kind):
@@ -462,6 +553,35 @@ class TestRunSimulation:
             run_simulation(model, presets[neighbors], cfg, traj)
         assert solves.calls == 2 * (30 if kind == "sm" else 29)
 
+    @pytest.mark.parametrize("neighbors", [2, 4, 6])
+    @pytest.mark.parametrize("kind, diffusion", [("sm", True), ("sm", False),
+                                                 ("iv", True), ("iv", False)])
+    def test_paper_ring_reduces_two_rows_per_round(self, kind, diffusion,
+                                                   neighbors):
+        # The nodes of one parity share their corrected sets, so every
+        # round's neighbourhoods are two distinct tuples of arrays, and
+        # phase 2 weights, reduces and propagates two rows, not eight.
+        model, presets = paper_scenario()
+        traj = simulate(model, 30, seed=4)
+        cfg = ObserverConfig(kind=kind, diffusion_enabled=diffusion)
+        counter = ReduceCounter()
+        with counter.installed():
+            run_simulation(model, presets[neighbors], cfg, traj)
+        assert counter.rows == [2] * (30 if kind == "sm" else 29)
+
+    @pytest.mark.parametrize("kind", ["sm", "iv"])
+    def test_ring_of_32_reduces_two_rows_per_round(self, kind):
+        model, presets = paper_scenario(n_nodes=32)
+        traj = simulate(model, 12, seed=4)
+        cfg = ObserverConfig(kind=kind)
+        counter = ReduceCounter()
+        with counter.installed():
+            result = run_simulation(model, presets[6], cfg, traj)
+        assert counter.rows == [2] * (12 if kind == "sm" else 11)
+        # Nodes of one parity report one generator array.
+        for row in result.estimates[1:]:
+            assert len({id(z.generators) for z in row}) == 2
+
     def test_interval_based_first_step_is_initial_set(self):
         model, presets = paper_scenario()
         traj = simulate(model, 10, seed=1)
@@ -507,6 +627,25 @@ def relabel_mismatches(kind, diffusion, topology, perm):
             for i, a in enumerate(row) if not scaled_set(a, got[perm[i]])]
 
 
+def strip_scaled_run(kind, diffusion, topology, node, j, steps=200, seed=3):
+    """Estimates of :func:`paper_run`'s unscaled run with node ``node``'s
+    strip ``(h, y, r)`` replaced by ``2^j (h, y, r)`` at every step."""
+    model, _ = paper_scenario()
+    trajectory = simulate(model, steps, seed)
+    schedule = model.schedule
+
+    def scaled(i, k):
+        h, r = schedule(i, k)
+        return (np.ldexp(h, j), math.ldexp(r, j)) if i == node else (h, r)
+
+    measurements = trajectory.measurements.copy()
+    measurements[:, node] = np.ldexp(measurements[:, node], j)
+    cfg = ObserverConfig(kind=kind, diffusion_enabled=diffusion)
+    return run_simulation(replace(model, schedule=scaled), topology, cfg,
+                          Trajectory(trajectory.states, measurements)
+                          ).estimates
+
+
 class TestWholeRunInvariants:
     """Invariants of whole 200-step paper runs, bit for bit. The engine is
     linear and homogeneous, so no threshold or branch may see the scale of
@@ -526,6 +665,41 @@ class TestWholeRunInvariants:
                for i, (a, b) in enumerate(zip(row, got))
                if not scaled_set(a, b, k)]
         assert bad == []
+
+    @pytest.mark.parametrize("j", [-1000, -600, -300, -1, 1, 300, 600,
+                                   1000])
+    @pytest.mark.parametrize("graph", ["ring-k4", "irregular"])
+    @pytest.mark.parametrize("kind, diffusion", WHOLE_RUNS)
+    def test_one_strip_scaled(self, kind, diffusion, graph, j):
+        # 2^j (h, y, r) in place of node 3's strip is the same constraint,
+        # so every estimate is unchanged, bit for bit. The one exception: a
+        # gain entry that the scale-back makes subnormal loses bits (at
+        # j = 1000 a rounding residue of 4e-19 becomes 4e-320); the
+        # estimates then still agree to rounding.
+        topology = (ring_topology(8, 4) if graph == "ring-k4"
+                    else Topology(8, IRREGULAR))
+        base = unscaled_run(kind, diffusion, topology)
+        gains = []
+
+        def gain(*args):
+            lam, fallback = frobenius_optimal_gain(*args)
+            gains.append(lam)
+            return lam, fallback
+
+        with mock.patch.object(observers, "frobenius_optimal_gain", gain):
+            scaled = strip_scaled_run(kind, diffusion, topology, 3, j)
+        bad = [(t, i) for t, (row, got) in enumerate(zip(base, scaled))
+               for i, (a, b) in enumerate(zip(row, got))
+               if not scaled_set(a, b)]
+        tiny = float(np.finfo(float).tiny)
+        if not any(((lam != 0) & (np.abs(lam) < tiny)).any()
+                   for lam in gains):
+            assert bad == []
+        for t, i in bad:
+            a, b = base[t][i], scaled[t][i]
+            assert np.allclose(a.center, b.center, rtol=1e-12, atol=0.0)
+            assert np.allclose(a.generators, b.generators, rtol=1e-12,
+                               atol=1e-12 * np.abs(a.generators).max())
 
     @pytest.mark.parametrize("shift", [2, 4])
     @pytest.mark.parametrize("neighbors", [2, 4, 6])

@@ -20,8 +20,11 @@ from zonodiff import (
     sm_time_update,
 )
 from zonodiff import network, observers
-from zonodiff.intersection import stack_strips
-from zonodiff.observers import fuse_update, local_update
+from zonodiff.intersection import (combined_center, combined_generators,
+                                   stack_strips)
+from zonodiff.observers import (fuse_update, local_update,
+                                time_update_centers, time_update_generators)
+from zonodiff.zonotope import reduce_stack
 from conftest import certified_member, random_zonotope, sample_members
 
 F_ROT = np.array([[0.992, -0.1247], [0.1247, 0.992]])
@@ -145,6 +148,71 @@ class TestSmDiffusionUpdate:
             out = sm_diffusion_update(zs, 6)
             assert np.array_equal(out.center, want.center)
             assert np.array_equal(out.generators, want.generators)
+
+
+class TestStackKernelRows:
+    """Each phase-2 stack kernel gives a row the same bits alone as inside
+    any stack, so the round may compute a distinct neighbourhood once and
+    batch rows as it likes."""
+
+    @staticmethod
+    def slices(batch):
+        # Every row alone, plus sub-stacks at odd and even offsets.
+        return [slice(b, b + 1) for b in range(batch)] + [
+            slice(1, 6), slice(2, batch), slice(0, batch)]
+
+    @staticmethod
+    def same(got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_combination(self, n, rng):
+        batch, m = 9, 5
+        w = rng.uniform(0.01, 3.0, (batch, m))
+        w[2, 1:] = 0.0  # all weight on one member
+        widths = np.tile([3, 0, 6, 2, 1], (batch, 1))
+        centers = rng.normal(size=(batch, m, n)) * 50.0
+        gens = rng.normal(size=(batch, n, 12))
+        cols = np.repeat(w.ravel(), widths.ravel()).reshape(batch, -1)
+        full_c = combined_center(w, centers)
+        full_g = combined_generators(w, gens, cols)
+        for part in self.slices(batch):
+            self.same(combined_center(w[part], centers[part]), full_c[part])
+            self.same(combined_generators(w[part], gens[part], cols[part]),
+                      full_g[part])
+
+    @pytest.mark.parametrize("n, q", [(2, 6), (4, 7)])
+    def test_reduce(self, n, q, rng):
+        batch = 9
+        gens = rng.normal(size=(batch, n, 25))
+        gens[1, :, 3:] = 0.0  # keeps its nonzero columns
+        gens[3, 0] = 0.0  # a zero box row
+        gens[5, :, ::2] = 0.0
+        gens[7] = gens[7, :, :1] * rng.normal(size=25)  # ties
+        full = {}
+        for rows, out in reduce_stack(gens, q):
+            full.update(zip(rows.tolist(), out))
+        for part in self.slices(batch):
+            for rows, out in reduce_stack(gens[part], q):
+                for b, got in zip(np.arange(batch)[part][rows].tolist(),
+                                  out):
+                    self.same(got, full[b])
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_time_update(self, n, rng):
+        batch = 9
+        f_matrix = rng.normal(size=(n, n))
+        noise = rng.normal(size=(n, 3))
+        centers = rng.normal(size=(batch, n)) * 1e3
+        gens = rng.normal(size=(batch, n, 20))
+        full_c = time_update_centers(centers, f_matrix)
+        full_g = time_update_generators(gens, f_matrix, noise)
+        for part in self.slices(batch):
+            self.same(time_update_centers(centers[part], f_matrix),
+                      full_c[part])
+            self.same(time_update_generators(gens[part], f_matrix, noise),
+                      full_g[part])
 
 
 class TestSmTimeUpdate:
