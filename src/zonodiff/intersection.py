@@ -160,7 +160,8 @@ def intersect_strips(z: Zonotope, strips, lam) -> Zonotope:
 
 
 def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
-                           r: np.ndarray, front=None) -> tuple[np.ndarray, bool]:
+                           r: np.ndarray, front=None, unit_rows: bool = False
+                           ) -> tuple[np.ndarray, bool]:
     """Gain matrix minimizing the squared F-radius of the corrected generator
     matrix ``[(front - Lam Gamma) G, lam_1 r_1, ..., lam_m r_m]``.
 
@@ -195,26 +196,31 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
     A strip ``(h_j, y_j, r_j)`` scaled by ``s`` is the same constraint,
     and its gain column ``lam_j`` is divided by ``s``. So each row ``(h_j,
     r_j)`` is first scaled by its own power of two to ``max|h_j|`` in
-    ``[1, 2)``, and column ``j`` of ``Lam`` back; unit rows are left as
-    they are. Where ``||G||_F^2`` is then outside ``[2^-300, 2^300]`` or
-    an ``r_j`` outside ``[2^-150, 2^150]``, ``G`` and ``r`` are scaled to
-    ``max(|G|, r)`` in ``[1/2, 1)``, so that the normal matrix neither
-    overflows nor loses ``r^2`` to underflow (``Lam`` is invariant under a
-    joint scaling of ``G`` and ``r``). The scalings are exact: ``2^k
-    (h_j, y_j, r_j)`` in place of a strip gives the normalised problem
-    bit for bit, and column ``j`` of the gain times ``2^-k``, which is
-    exact unless it falls into the subnormal range.
+    ``[1, 2)``, as :func:`unit_strips` scales strips, and column ``j`` of
+    ``Lam`` back; ``unit_rows`` says that the rows are at that scale
+    already and skips this step (:func:`~zonodiff.network.run_round`
+    scales the round's strips once). Where ``||G||_F^2`` is then outside
+    ``[2^-300, 2^300]`` or an ``r_j`` outside ``[2^-150, 2^150]``, ``G``
+    and ``r`` are scaled to ``max(|G|, r)`` in ``[1/2, 1)``, so that the
+    normal matrix neither overflows nor loses ``r^2`` to underflow (``Lam``
+    is invariant under a joint scaling of ``G`` and ``r``). The scalings
+    are exact: ``2^k (h_j, y_j, r_j)`` in place of a strip gives the
+    normalised problem bit for bit, and column ``j`` of the gain times
+    ``2^-k``, which is exact unless it falls into the subnormal range.
     """
     gens = np.asarray(prior_generators, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     r = np.asarray(r, dtype=float)
-    # Binary exponents of max|h_j|: 1 for a row in [1, 2). A Python set
-    # of them is cheaper than numpy's any() on a short vector.
-    top = np.frexp(np.abs(gamma).max(axis=1))[1]
-    rescaled = set(top.tolist()) != {1}
-    if rescaled:
-        shift = 1 - top
-        gamma, r = np.ldexp(gamma, shift[:, None]), np.ldexp(r, shift)
+    if unit_rows:
+        return _unit_gain(gens, gamma, r, front)
+    shift = _strip_shift(gamma)
+    lam, fallback = _unit_gain(gens, np.ldexp(gamma, shift[:, None]),
+                               np.ldexp(r, shift), front)
+    return np.ldexp(lam, shift), fallback
+
+
+def _unit_gain(gens, gamma, r, front) -> tuple[np.ndarray, bool]:
+    # frobenius_optimal_gain for strip rows at unit scale.
     # ||Gamma||_F^2 and ||G||_F^2, overflowing to inf without a warning.
     gamma_sq = float(np.vdot(gamma, gamma))
     trace = float(np.vdot(gens, gens))
@@ -236,7 +242,23 @@ def frobenius_optimal_gain(prior_generators: np.ndarray, gamma: np.ndarray,
         lam, fallback = np.linalg.solve(normal, rhs).T, False
     else:
         lam, fallback = rhs.T @ np.linalg.pinv(normal), True
-    return (np.ldexp(lam, shift) if rescaled else lam), fallback
+    return lam, fallback
+
+
+def unit_strips(gamma, y, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strips ``(Gamma, y, r)``, each ``(h_j, y_j, r_j)`` scaled by its
+    own power of two to ``max|h_j|`` in ``[1, 2)``: the same constraints.
+    Unit rows, such as the paper's, keep their bits. The scaling is exact
+    unless an entry leaves the double range: a strip ``2^k (h_j, y_j,
+    r_j)`` gives the same bits as ``(h_j, y_j, r_j)``."""
+    shift = _strip_shift(gamma)
+    return (np.ldexp(gamma, shift[:, None]), np.ldexp(y, shift),
+            np.ldexp(r, shift))
+
+
+def _strip_shift(gamma) -> np.ndarray:
+    # 1 - e_j for max|h_j| in [2^(e_j - 1), 2^e_j): 0 for a row in [1, 2).
+    return 1 - np.frexp(np.abs(gamma).max(axis=1))[1]
 
 
 def _solve_certified(gamma_sq: float, trace: float, r_sq: np.ndarray) -> bool:
@@ -292,11 +314,9 @@ def diffusion_weights(beta: np.ndarray, k: np.ndarray) -> np.ndarray:
     points = beta == 0.0
     inv = np.ldexp(1.0 / np.where(points, 1.0, beta),
                    2 * (k.min(axis=-1, keepdims=True) - k))
-    w = inv / inv.sum(axis=-1, keepdims=True)
-    if not points.any():
-        return w
-    n_points = points.sum(axis=-1, keepdims=True)
-    return np.where(n_points > 0, points / np.maximum(n_points, 1), w)
+    # A row with point sets weighs each of them 1 and the others 0.
+    inv = np.where(points.any(axis=-1, keepdims=True), points, inv)
+    return inv / inv.sum(axis=-1, keepdims=True)
 
 
 def combined_center(w, centers):

@@ -27,6 +27,7 @@ from .intersection import (
     diffusion_weights,
     squared_f_radius,
     stack_strips,
+    unit_strips,
 )
 from .observers import (
     NodeState,
@@ -176,9 +177,12 @@ def run_round(topology: Topology, node_states, measurements,
     ``measurements`` holds one :class:`~zonodiff.intersection.Strip` per
     node. Every input is checked once, before phase 1 (``ValueError``):
     the counts, one estimate dimension ``n``, ``cfg.q >= n``, the dynamics
-    and, as they are stacked into ``(Gamma, y, r)`` arrays, the strips.
-    Phase 1 calls :func:`~zonodiff.observers.local_update` per node with
-    its neighborhood's rows, gathered through index arrays cached on the
+    and, as they are stacked into ``(Gamma, y, r)`` arrays, the strips,
+    each then scaled to a unit row, the same constraint
+    (:func:`~zonodiff.intersection.unit_strips`): no gain solve of the
+    round scales it again. Phase 1 calls
+    :func:`~zonodiff.observers.local_update` per node with its
+    neighborhood's rows, gathered through index arrays cached on the
     topology, and one memo dict for the round: a node whose prior
     generators (with their layout) and strip rows ``(Gamma, r)`` equal an
     earlier node's, bit for bit, reuses that node's gain and generators
@@ -208,14 +212,15 @@ def run_round(topology: Topology, node_states, measurements,
         raise ValueError("all estimates must share one dimension")
     check_budget(cfg.q, dim)
     f_mat, noise = dynamics(f_matrix, q_generators, dim)
-    gamma, y, r = stack_strips(measurements, dim)
+    # Each strip at unit scale, once for the round: the gain solves skip it.
+    gamma, y, r = unit_strips(*stack_strips(measurements, dim))
 
     # Phase 1: every node computes its corrected set from the delivered
     # strips. The memo lives for this round only: nodes whose priors and
     # strip rows match to the bit share one gain solve.
     memo: dict = {}
     corrected = [local_update(state, (gamma[row], y[row], r[row]), cfg,
-                              f_mat, noise, memo)
+                              f_mat, noise, memo, unit_rows=True)
                  for state, row in zip(states, topology._rows)]
 
     # Phase 2 barrier: only now are corrected sets exchanged. Without
@@ -225,13 +230,12 @@ def run_round(topology: Topology, node_states, measurements,
     else:
         alone = np.arange(n_nodes)
         batches = [(alone, alone[:, None])]
-    centers, groups = _diffuse(batches, corrected, cfg.q)
-    estimates = _materialize(centers, groups, n_nodes)
+    centers, stacks, where = _diffuse(batches, corrected, cfg.q)
+    estimates = stack_zonotopes(centers, stacks, where)
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
-        carried = _materialize(
+        carried = stack_zonotopes(
             time_update_centers(centers, f_mat),
-            [(nodes, rows, time_update_generators(g, f_mat, noise))
-             for nodes, rows, g in groups], n_nodes)
+            [time_update_generators(g, f_mat, noise) for g in stacks], where)
     else:
         carried = estimates
     new_states = [NodeState(i, z) for i, z in enumerate(carried)]
@@ -243,22 +247,11 @@ def run_round(topology: Topology, node_states, measurements,
     return new_states, trace
 
 
-def _materialize(centers, groups, n_nodes: int) -> list:
-    """Per-node zonotopes, in node order, from the centers ``(N, n)`` and
-    ``(nodes, rows, gens)`` groups that cover every node once: node
-    ``nodes[b]`` holds the generators ``gens[rows[b]]``."""
-    out = [None] * n_nodes
-    for nodes, rows, gens in groups:
-        for i, z in zip(nodes.tolist(),
-                        stack_zonotopes(centers[nodes], gens, rows)):
-            out[i] = z
-    return out
-
-
 def _diffuse(batches, corrected, q: int) -> tuple:
     """Diffusion of the corrected sets over ``(nodes, neighbors)`` batches:
-    the fused centers ``(N, n)`` and ``(nodes, rows, gens)`` groups as
-    :func:`_materialize` takes them.
+    the fused centers ``(N, n)``, in node order, and the fused generators
+    as :func:`~zonodiff.zonotope.stack_zonotopes` takes them, a list of
+    reduced stacks and per node its ``(stack, row)``.
 
     The weights and generators never read data, and nodes that share a
     phase-1 solve share one generator array, so each distinct tuple of
@@ -278,21 +271,18 @@ def _diffuse(batches, corrected, q: int) -> tuple:
     starts = np.cumsum(widths) - widths
     centers = np.array([z.center for z in corrected])
     fused = np.empty_like(centers)
-    groups = []
+    stacks, where = [], [None] * len(corrected)
     for nodes, nbrs in batches:
-        # Row b holds distinct tuple row_of[b]; tuple d first occurs in
-        # row first[d].
-        keys = member[nbrs]
-        tuples, row_of, first = {}, [], []
-        for b, key in enumerate(map(tuple, keys.tolist())):
-            row_of.append(tuples.setdefault(key, len(first)))
-            if row_of[-1] == len(first):
-                first.append(b)
-        row_of = np.array(row_of)
-        distinct = keys[first]
+        # Row b holds distinct tuple row_of[b], the row distinct[row_of[b]]
+        # of member slots; place[d] is where tuple d's generators land.
+        tuples = {}
+        row_of = [tuples.setdefault(key, len(tuples))
+                  for key in map(tuple, member[nbrs].tolist())]
+        distinct = np.array(list(tuples))
         w = diffusion_weights(beta[distinct], k[distinct])
         fused[nodes] = combined_center(w[row_of], centers[nbrs])
         total = widths[distinct].sum(axis=1)
+        place = [None] * len(tuples)
         for width in sorted(set(total.tolist())):
             part = np.flatnonzero(total == width)
             members = distinct[part]
@@ -301,16 +291,12 @@ def _diffuse(batches, corrected, q: int) -> tuple:
             gens = np.ascontiguousarray(store[:, cols].transpose(1, 0, 2))
             for rows, reduced in diffusion_generators(w[part], member_widths,
                                                       gens, q):
-                if len(rows) == len(first):
-                    # Every tuple, in order: row d of reduced is tuple d.
-                    groups.append((nodes, row_of, reduced))
-                    continue
-                at = np.full(len(first), -1)
-                at[part[rows]] = np.arange(len(rows))
-                node_rows = at[row_of]
-                mine = node_rows >= 0
-                groups.append((nodes[mine], node_rows[mine], reduced))
-    return fused, groups
+                for j, d in enumerate(part[rows].tolist()):
+                    place[d] = (len(stacks), j)
+                stacks.append(reduced)
+        for i, d in zip(nodes.tolist(), row_of):
+            where[i] = place[d]
+    return fused, stacks, where
 
 
 def _member_columns(starts, widths) -> np.ndarray:

@@ -35,6 +35,7 @@ from .intersection import (
     frobenius_optimal_gain,
     optimal_diffusion_weights,
     stack_strips,
+    unit_strips,
 )
 from .zonotope import (
     Zonotope,
@@ -150,7 +151,7 @@ def check_budget(q: int, dim: int) -> None:
 
 
 def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None, q=None,
-               memo=None) -> Zonotope:
+               memo=None, unit_rows=False) -> Zonotope:
     """``z`` corrected by the strips ``(gamma, y, r)`` at the
     F-radius-optimal gain, with front matrix ``front`` (identity if None)
     and the generator block ``noise`` appended, then reduced to ``q``
@@ -159,8 +160,9 @@ def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None, q=None,
 
     Only the center reads ``y`` and the prior center; the gain, its
     fallback flag and the generators depend on ``G``, ``gamma`` and ``r``
-    alone. ``memo``, a dict shared by calls with one ``front``, ``noise``
-    and ``q``, stores them under the exact input of that data-free step
+    alone; ``unit_rows`` is that of :func:`frobenius_optimal_gain`.
+    ``memo``, a dict shared by calls with one ``front``, ``noise`` and
+    ``q``, stores them under the exact input of that data-free step
     (:func:`_shape_key`), and a call that finds its key computes only the
     center, with the expression of :func:`correct`, and checks only that:
     it returns the stored generator array itself, checked when stored.
@@ -172,7 +174,8 @@ def _corrected(z: Zonotope, gamma, y, r, front=None, noise=None, q=None,
             _note_fallback(fallback, len(r))
             return recentered(
                 corrected_center(z.center, gamma, y, lam, front), gens)
-    lam, fallback = frobenius_optimal_gain(z.generators, gamma, r, front)
+    lam, fallback = frobenius_optimal_gain(z.generators, gamma, r, front,
+                                           unit_rows)
     _note_fallback(fallback, len(r))
     out = checked_zonotope(*correct(z.center, z.generators, gamma, y, r, lam,
                                     front, noise))
@@ -200,7 +203,8 @@ def _note_fallback(fallback: bool, n_strips: int) -> None:
 def sm_measurement_update(state: NodeState, strips) -> Zonotope:
     """Corrected set: prior intersected with all strips at the optimal gain."""
     z = state.estimate
-    return _corrected(z, *stack_strips(strips, z.dim))
+    return _corrected(z, *unit_strips(*stack_strips(strips, z.dim)),
+                      unit_rows=True)
 
 
 def sm_diffusion_update(shared, q: int) -> Zonotope:
@@ -242,20 +246,24 @@ def iv_luenberger_update(state: NodeState, strips, f_matrix, q_generators,
     """
     z = state.estimate
     f_mat, noise = dynamics(f_matrix, q_generators, z.dim)
-    return _corrected(z, *stack_strips(strips, z.dim), f_mat, noise, q)
+    return _corrected(z, *unit_strips(*stack_strips(strips, z.dim)), f_mat,
+                      noise, q, unit_rows=True)
 
 
 def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
-                 q_generators, memo=None) -> Zonotope:
+                 q_generators, memo=None, unit_rows=False) -> Zonotope:
     """Phase-1 computation: the set this node shares with its neighbors.
 
     ``strips`` holds the node's rows ``(Gamma, y, r)`` of the round's
     stacked strip arrays, shapes ``(m, n)``, ``(m,)`` and ``(m,)``;
     ``f_matrix`` and ``q_generators`` are as :func:`dynamics` returns
     them. :func:`~zonodiff.network.run_round` checks these inputs once per
-    round; here only the corrected set is checked, for finiteness. Returns
-    it for the set-membership observer, or reduced to ``cfg.q`` generators
-    for the interval-based one (the Luenberger step).
+    round and scales each strip to a unit row
+    (:func:`~zonodiff.intersection.unit_strips`), which ``unit_rows`` tells
+    the gain solve; here only the corrected set is checked, for
+    finiteness. Returns it for the set-membership observer, or reduced to
+    ``cfg.q`` generators for the interval-based one (the Luenberger
+    step).
 
     ``memo`` is a dict that ``run_round`` creates for one round and passes
     to every node's call; every call sharing it must pass the same
@@ -271,9 +279,10 @@ def local_update(state: NodeState, strips, cfg: ObserverConfig, f_matrix,
     neighbourhood once per round. Without ``memo`` every call solves.
     """
     if cfg.kind is ObserverKind.SET_MEMBERSHIP:
-        return _corrected(state.estimate, *strips, memo=memo)
+        return _corrected(state.estimate, *strips, memo=memo,
+                          unit_rows=unit_rows)
     return _corrected(state.estimate, *strips, f_matrix, q_generators, cfg.q,
-                      memo)
+                      memo, unit_rows)
 
 
 def fuse_update(state: NodeState, own_corrected: Zonotope, shared_sets,

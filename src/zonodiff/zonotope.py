@@ -109,22 +109,23 @@ class Zonotope:
                    np.asarray(data["generators"], dtype=float))
 
 
-def stack_zonotopes(centers: np.ndarray, gens: np.ndarray,
-                    rows: np.ndarray) -> list[Zonotope]:
+def stack_zonotopes(centers: np.ndarray, stacks, where) -> list[Zonotope]:
     """One :class:`Zonotope` per row of a stack of centers ``(B, n)``: row
-    ``b`` over the generator matrix ``gens[rows[b]]`` of a stack ``(D, n,
-    e)``.
+    ``b`` over the generator matrix ``stacks[s][j]`` for ``(s, j) =
+    where[b]``, each of ``stacks`` a stack ``(D, n, e)``.
 
-    One finiteness check covers each stack, and the zonotopes hold
-    read-only views of it; rows that name one matrix share its view.
+    One finiteness check covers each array, and the zonotopes hold
+    read-only views of them; rows that name one matrix share its view.
     """
     _check_finite(centers, "center")
-    _check_finite(gens, "generators")
     centers.flags.writeable = False
-    gens.flags.writeable = False
-    mats = list(gens)
-    return [Zonotope._trusted(c, mats[r])
-            for c, r in zip(centers, rows.tolist())]
+    mats = []
+    for gens in stacks:
+        _check_finite(gens, "generators")
+        gens.flags.writeable = False
+        mats.append(list(gens))
+    return [Zonotope._trusted(c, mats[s][j])
+            for c, (s, j) in zip(centers, where)]
 
 
 def checked_zonotope(center: np.ndarray, gens: np.ndarray) -> Zonotope:

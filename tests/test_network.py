@@ -672,34 +672,16 @@ class TestWholeRunInvariants:
     @pytest.mark.parametrize("kind, diffusion", WHOLE_RUNS)
     def test_one_strip_scaled(self, kind, diffusion, graph, j):
         # 2^j (h, y, r) in place of node 3's strip is the same constraint,
-        # so every estimate is unchanged, bit for bit. The one exception: a
-        # gain entry that the scale-back makes subnormal loses bits (at
-        # j = 1000 a rounding residue of 4e-19 becomes 4e-320); the
-        # estimates then still agree to rounding.
+        # and the round scales it back to its unit row before any solve, so
+        # every estimate is unchanged, bit for bit.
         topology = (ring_topology(8, 4) if graph == "ring-k4"
                     else Topology(8, IRREGULAR))
         base = unscaled_run(kind, diffusion, topology)
-        gains = []
-
-        def gain(*args):
-            lam, fallback = frobenius_optimal_gain(*args)
-            gains.append(lam)
-            return lam, fallback
-
-        with mock.patch.object(observers, "frobenius_optimal_gain", gain):
-            scaled = strip_scaled_run(kind, diffusion, topology, 3, j)
+        scaled = strip_scaled_run(kind, diffusion, topology, 3, j)
         bad = [(t, i) for t, (row, got) in enumerate(zip(base, scaled))
                for i, (a, b) in enumerate(zip(row, got))
                if not scaled_set(a, b)]
-        tiny = float(np.finfo(float).tiny)
-        if not any(((lam != 0) & (np.abs(lam) < tiny)).any()
-                   for lam in gains):
-            assert bad == []
-        for t, i in bad:
-            a, b = base[t][i], scaled[t][i]
-            assert np.allclose(a.center, b.center, rtol=1e-12, atol=0.0)
-            assert np.allclose(a.generators, b.generators, rtol=1e-12,
-                               atol=1e-12 * np.abs(a.generators).max())
+        assert bad == []
 
     @pytest.mark.parametrize("shift", [2, 4])
     @pytest.mark.parametrize("neighbors", [2, 4, 6])

@@ -271,11 +271,11 @@ def reduce_cases(rng):
                     cases.append((Zonotope(c, g), q))
                     cases.append((Zonotope(c, np.asfortranarray(g)), q))
                     stack = np.repeat(g.T[None], 2, axis=0).transpose(0, 2, 1)
-                    cases.append((stack_zonotopes(np.tile(c, (2, 1)),
-                                                  stack, np.arange(2))[1], q))
+                    cases.append((stack_zonotopes(
+                        np.tile(c, (2, 1)), [stack], [(0, 0), (0, 1)])[1], q))
                     wide = np.repeat(g, 2, axis=1)[None]
-                    cases.append((stack_zonotopes(c[None], wide[:, :, ::2],
-                                                  np.zeros(1, int))[0], q))
+                    cases.append((stack_zonotopes(
+                        c[None], [wide[:, :, ::2]], [(0, 0)])[0], q))
     return cases
 
 
