@@ -9,6 +9,7 @@ that never asks for one never loads scipy."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _cdist_kernel():
     # Loaded once: an import statement per call would cost about 1 us on
     # each of the thousands of pairs of a grid run.
@@ -65,6 +66,12 @@ def hausdorff_2d(a: Zonotope, b: Zonotope) -> float:
     return float(_pairs_hausdorff(zs, _vertices_stack(zs), [(0, 1)])[0])
 
 
+# Below this a distance may have lost its value to underflow: cdist
+# squares the differences, and those below 2^-511 square into the
+# subnormal range or to 0.
+_CLOSE = 2.0 ** -500
+
+
 def _pairs_hausdorff(zs, verts, pairs) -> np.ndarray:
     """Hausdorff distance between the vertex arrays ``verts[a]`` and
     ``verts[b]`` of the sets ``zs[a]`` and ``zs[b]`` for every pair ``(a,
@@ -72,28 +79,34 @@ def _pairs_hausdorff(zs, verts, pairs) -> np.ndarray:
     distance matrices at once. Min and max are exact, so the values do not
     depend on which pairs are reduced together.
 
-    A vertex past the double range is +-inf and ``cdist`` squares the
-    differences, so a pair near 1.8e308 can give NaN or a false inf. Such
+    ``cdist`` squares the differences, so at the ends of the double range
     a pair is measured again on both sets scaled by ``2^-k``, ``k`` the
-    binary exponent of their largest entry, and scaled back: the same
-    bits wherever nothing underflows, and inf, without a warning, where
-    the distance passes the range. This costs one finiteness test per
-    call, not per pair.
+    binary exponent of their largest entry, and scaled back: the same bits
+    wherever nothing underflows or overflows. These pairs are those whose
+    distance is NaN or inf (a vertex past the range is +-inf, and a pair
+    near 1.8e308 can give NaN or a false inf), and those below ``2^-500``
+    whose sets lie below ``2^-400`` (a distance below about ``2^-520``
+    reads 0). A distance past the range is inf, without a warning. Sets
+    in the normal range, equal ones included, are never measured again.
     """
     dists = [cdist(verts[a], verts[b]) for a, b in pairs]
     out = np.maximum(_farthest_nearest([d.T for d in dists]),
                      _farthest_nearest(dists))
-    if not np.isfinite(out).all():
-        for p in np.flatnonzero(~np.isfinite(out)).tolist():
-            out[p] = _scaled_hausdorff(zs[pairs[p][0]], zs[pairs[p][1]])
+    unsure = ~((out >= _CLOSE) & (out < math.inf))
+    for p in np.flatnonzero(unsure).tolist():
+        a, b = (zs[i] for i in pairs[p])
+        top = max(float(np.abs(x).max(initial=0.0))
+                  for z in (a, b) for x in (z.center, z.generators))
+        k = math.frexp(top)[1]
+        if k < -400 or not out[p] < math.inf:
+            out[p] = _scaled_hausdorff(a, b, k)
     return out
 
 
-def _scaled_hausdorff(a: Zonotope, b: Zonotope) -> float:
+def _scaled_hausdorff(a: Zonotope, b: Zonotope, k: int) -> float:
     # Scaled to a largest entry below 1, every vertex of the two sets is
-    # below e + 1 in magnitude, so neither the walk nor cdist overflows.
-    k = max(int(np.frexp(np.abs(x).max(initial=0.0))[1])
-            for z in (a, b) for x in (z.center, z.generators))
+    # below e + 1 in magnitude, so neither the walk nor cdist overflows,
+    # and differences of distinct vertices do not square into underflow.
     zs = [Zonotope(np.ldexp(z.center, -k), np.ldexp(z.generators, -k))
           for z in (a, b)]
     d = _pairs_hausdorff(zs, _vertices_stack(zs), [(0, 1)])
@@ -176,8 +189,21 @@ def build_records(result, trajectory) -> Records:
     )
 
 
+def _mean_std(values: np.ndarray, axis=None) -> tuple:
+    """``values.mean(axis)`` and ``values.std(axis)`` (``axis`` None or
+    1), computed on the values scaled by the power of two of their largest
+    magnitude, one per row along ``axis = 1``, and scaled back: the same
+    bits wherever nothing underflows or overflows, and no overflow for
+    values up to the top of the double range."""
+    k = np.frexp(np.abs(values).max(axis=axis, keepdims=True))[1]
+    unit = np.ldexp(values, -k)
+    k = np.squeeze(k, axis=axis)
+    return np.ldexp(unit.mean(axis=axis), k), np.ldexp(unit.std(axis=axis), k)
+
+
 def _stats(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std())
+    mean, std = _mean_std(values)
+    return float(mean), float(std)
 
 
 def summarize(records: Records, estimates=None, burn_in: int = 5):
@@ -208,10 +234,10 @@ def summarize(records: Records, estimates=None, burn_in: int = 5):
             for s in range(0, len(verts), nodes)])
 
     steps = StepSummary(
-        records.radius.mean(axis=1), records.radius.std(axis=1),
-        records.center_error.mean(axis=1), records.center_error.std(axis=1),
-        None if hausdorff is None else hausdorff.mean(axis=1),
-        None if hausdorff is None else hausdorff.std(axis=1))
+        *_mean_std(records.radius, axis=1),
+        *_mean_std(records.center_error, axis=1),
+        *((None, None) if hausdorff is None
+          else _mean_std(hausdorff, axis=1)))
 
     n = records.lower.shape[2]
     diagonals = np.array([

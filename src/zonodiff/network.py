@@ -17,6 +17,7 @@ distinct neighbourhood once per round: only the centers are per node.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,19 +86,11 @@ class Topology:
         object.__setattr__(self, "neighbors", nbrs)
 
     @cached_property
-    def _rows(self) -> tuple:
-        """Each node's neighbor list as an index array, for gathering its
-        rows of a round's stacked strip arrays."""
-        rows = tuple(np.array(row, dtype=np.intp) for row in self.neighbors)
-        for row in rows:
-            row.flags.writeable = False
-        return rows
-
-    @cached_property
     def _batches(self) -> list:
         """Nodes grouped by neighborhood size, as ``(nodes, neighbors)``
         index arrays of shapes ``(B,)`` and ``(B, m)``; neighbor rows keep
-        the order of the neighbor lists."""
+        the order of the neighbor lists. A round gathers its strip rows
+        and diffuses once per batch."""
         sizes = np.array([len(row) for row in self.neighbors])
         out = []
         for m in np.unique(sizes):
@@ -158,15 +151,37 @@ def topology_from_json(data: dict) -> Topology:
 class RoundTrace:
     """Delivered payloads of one round, for tests and export.
 
-    ``strips_delivered[i]`` and ``sets_delivered[i]`` list the
-    ``(source, payload)`` pairs node ``i`` received; ``round_estimates[i]``
-    is the estimate node ``i`` reported this round (the fused set).
+    ``strips_delivered[i]`` and ``sets_delivered[i]`` are tuples of the
+    ``(source, payload)`` pairs node ``i`` received, in the order of its
+    neighbor list; ``round_estimates[i]`` is the estimate node ``i``
+    reported this round (the fused set). :func:`run_round` fills the two
+    payload fields with read-only sequences that build node ``i``'s tuple
+    when it is read, so a round whose trace is not read pays nothing for
+    it; they support indexing, ``len`` and iteration like the tuple of
+    those tuples, which the fields also accept.
     """
 
     step: int
-    strips_delivered: tuple
-    sets_delivered: tuple
+    strips_delivered: Sequence
+    sets_delivered: Sequence
     round_estimates: tuple
+
+
+class _Delivered(Sequence):
+    """Per node, the ``(source, payloads[source])`` pairs of its neighbor
+    list, as a tuple built on each read."""
+
+    def __init__(self, neighbors: tuple, payloads):
+        self._neighbors = neighbors
+        self._payloads = payloads
+
+    def __len__(self) -> int:
+        return len(self._neighbors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        return tuple((j, self._payloads[j]) for j in self._neighbors[i])
 
 
 def run_round(topology: Topology, node_states, measurements,
@@ -180,10 +195,11 @@ def run_round(topology: Topology, node_states, measurements,
     and, as they are stacked into ``(Gamma, y, r)`` arrays, the strips,
     each then scaled to a unit row, the same constraint
     (:func:`~zonodiff.intersection.unit_strips`): no gain solve of the
-    round scales it again. Phase 1 calls
-    :func:`~zonodiff.observers.local_update` per node with its
-    neighborhood's rows, gathered through index arrays cached on the
-    topology, and one memo dict for the round: a node whose prior
+    round scales it again. Phase 1 gathers the strip rows once per batch
+    of equal-size neighborhoods and calls
+    :func:`~zonodiff.observers.local_update` per node, in node order, with
+    views of its batch row (the layout and bits of a gather of its own
+    rows), and one memo dict for the round: a node whose prior
     generators (with their layout) and strip rows ``(Gamma, r)`` equal an
     earlier node's, bit for bit, reuses that node's gain and generators
     and computes only its center. In the paper's rings the nodes of one
@@ -198,7 +214,8 @@ def run_round(topology: Topology, node_states, measurements,
     a paper ring has two distinct neighbourhoods per round at any size. A
     node's result depends only on its own neighborhood, so it is
     independent of the batching, of the sharing and of node order.
-    Callers time around this function if needed.
+    The trace's delivered payloads are built when read
+    (:class:`RoundTrace`). Callers time around this function if needed.
     """
     states = list(node_states)
     n_nodes = topology.n_nodes
@@ -216,12 +233,19 @@ def run_round(topology: Topology, node_states, measurements,
     gamma, y, r = unit_strips(*stack_strips(measurements, dim))
 
     # Phase 1: every node computes its corrected set from the delivered
-    # strips. The memo lives for this round only: nodes whose priors and
-    # strip rows match to the bit share one gain solve.
+    # strips, gathered once per batch; each node reads views of its batch
+    # row, laid out as a gather of its own rows would be. The memo lives
+    # for this round only: nodes whose priors and strip rows match to the
+    # bit share one gain solve.
+    delivered = [None] * n_nodes
+    for nodes, nbrs in topology._batches:
+        for i, rows in zip(nodes.tolist(),
+                           zip(gamma[nbrs], y[nbrs], r[nbrs])):
+            delivered[i] = rows
     memo: dict = {}
-    corrected = [local_update(state, (gamma[row], y[row], r[row]), cfg,
-                              f_mat, noise, memo, unit_rows=True)
-                 for state, row in zip(states, topology._rows)]
+    corrected = [local_update(state, rows, cfg, f_mat, noise, memo,
+                              unit_rows=True)
+                 for state, rows in zip(states, delivered)]
 
     # Phase 2 barrier: only now are corrected sets exchanged. Without
     # diffusion each node fuses its own set alone.
@@ -239,11 +263,10 @@ def run_round(topology: Topology, node_states, measurements,
     else:
         carried = estimates
     new_states = [NodeState(i, z) for i, z in enumerate(carried)]
-    strips_in = tuple(tuple((j, measurements[j]) for j in row)
-                      for row in topology.neighbors)
-    sets_in = tuple(tuple((j, corrected[j]) for j in row)
-                    for row in topology.neighbors)
-    trace = RoundTrace(step_index, strips_in, sets_in, tuple(estimates))
+    trace = RoundTrace(step_index,
+                       _Delivered(topology.neighbors, measurements),
+                       _Delivered(topology.neighbors, corrected),
+                       tuple(estimates))
     return new_states, trace
 
 

@@ -325,15 +325,22 @@ def _facet_normals(gens: np.ndarray) -> np.ndarray:
     return np.column_stack((_cross4 if n == 4 else _cross_det)(*rows))
 
 
-def _support_test(gens: np.ndarray, d: np.ndarray, tol: float):
-    """The facet test of ``d`` against ``<0, G>``: ``|N d| <= (1 + tol)
-    sum_j |N g_j|`` for every row ``N`` of :func:`_facet_normals`. In 2-D,
-    ``gens`` and ``d`` may be stacks ``(..., 2, e)`` and ``(..., 2)``, with
-    one answer per set."""
+def _facet_bounds(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``N`` of :func:`_facet_normals` and their bounds ``sum_j
+    |N g_j|``: the part of the facet test that reads only ``G``. In 2-D,
+    ``gens`` may be a stack ``(..., 2, e)``."""
     normals = _facet_normals(gens)
+    return normals, np.abs(normals @ gens).sum(axis=-1)
+
+
+def _support_test(normals: np.ndarray, bounds: np.ndarray, d: np.ndarray,
+                  tol: float):
+    """The facet test of ``d`` against ``<0, G>``: ``|N d| <= (1 + tol)
+    sum_j |N g_j|`` for every row ``N``, with the normals and bounds of
+    :func:`_facet_bounds`. In 2-D they and ``d`` may be stacks, ``d`` of
+    shape ``(..., 2)``, with one answer per set."""
     lhs = np.abs(normals @ d[..., None])[..., 0]
-    rhs = np.abs(normals @ gens).sum(axis=-1)
-    return (lhs <= (1.0 + tol) * rhs).all(axis=-1)
+    return (lhs <= (1.0 + tol) * bounds).all(axis=-1)
 
 
 def _contains_lp(gens: np.ndarray, d: np.ndarray, tol: float) -> bool:
@@ -361,9 +368,11 @@ def _contains_lp(gens: np.ndarray, d: np.ndarray, tol: float) -> bool:
 _EPS = float(np.finfo(float).eps)
 
 
-def _certified_member(gens: np.ndarray, d: np.ndarray, sv: np.ndarray) -> bool:
+def _certified_member(gens: np.ndarray, d: np.ndarray, sv: np.ndarray,
+                      gram: np.ndarray) -> bool:
     """Sufficient membership test for ``d`` in ``<0, G>``, ``G`` of full row
-    rank ``n`` with singular values ``sv`` (descending).
+    rank ``n`` with singular values ``sv`` (descending) and Gram matrix
+    ``gram = G G^T``.
 
     ``b^ = G^T (G G^T)^-1 d`` are the computed least-norm coefficients and
     ``rho = ||rho^|| + 2 (e + 2) eps (||d|| + sqrt(n) s_max ||b^||)``
@@ -390,7 +399,7 @@ def _certified_member(gens: np.ndarray, d: np.ndarray, sv: np.ndarray) -> bool:
     if s_max > 1e6 * s_min:
         return False
     try:
-        b = gens.T @ np.linalg.solve(gens @ gens.T, d)
+        b = gens.T @ np.linalg.solve(gram, d)
     except np.linalg.LinAlgError:
         return False
     resid = d - gens @ b
@@ -473,6 +482,18 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
       relative rounding bound is rejected; the projected point and set are
       decided in the rank ``r`` by the cases above.
 
+    What these steps read of ``G`` alone (the scaling, the Gram screen,
+    the facet normals and their bounds ``sum_j |N g_j|``, and for ``n >=
+    3`` the SVD and ``G G^T``) is computed once per distinct generator
+    matrix, each part on first use, and kept in a least-recently-used memo
+    of the last 32 matrices (:class:`_Generators`). The key is the exact
+    shape, strides and bytes of ``G``, so a call that finds it gets the
+    arrays that its own ``G`` would give, bit for bit, and computes only
+    ``d``, its scaling, ``|N d|`` and the comparison (or the solve). Each
+    value is a pure function of its key, so nothing carries over between
+    runs but the time saved: in a network round, the nodes that share a
+    generator array share the facet work of their checks.
+
     Raises ``ValueError`` for a non-finite point, a dimension mismatch or a
     ``tol`` that is negative or not finite.
     """
@@ -498,44 +519,120 @@ def contains_point(z: Zonotope, x, tol: float = 1e-9) -> bool:
             Zonotope._trusted(0.5 * z.center, 0.5 * z.generators),
             0.5 * point, tol)
     d = point - z.center
-    return _member(z.generators, d, max(map(abs, offsets)),
-                   max(map(abs, coords + center)), tol)
+    return _member(z.generators, d, max(map(abs, offsets)), coords + center,
+                   tol)
 
 
-def _member(gens: np.ndarray, d: np.ndarray, far: float, reach: float,
+def _member(gens: np.ndarray, d: np.ndarray, far: float, ends: list,
             tol: float) -> bool:
     # contains_point for the offset d, with far the largest entry of d and
-    # reach the largest entry of x and c.
+    # ends the entries of x and c: the largest of them, reach, only bounds
+    # the rounding of the rank-deficient cases.
     n, e = gens.shape
-    top = float(np.abs(gens).max(initial=0.0))
-    if top == 0.0:
+    facts = _interned(_Generators(gens))
+    if facts.scale is None:
         # No columns: the bound must not depend on e. Scaled to reach: the
         # residual norm can neither underflow nor overflow.
+        reach = max(map(abs, ends))
         k = math.frexp(reach)[1]
         return _projected(gens[:, :0], np.ldexp(d, -k), math.ldexp(reach, -k),
                           tol)
-    k = math.frexp(top)[1]
+    k, unit_g = facts.scale
     # Binary exponent of the farthest offset above that of max |G|.
     # frexp(0.0) has exponent 0, which must not count as far when the
     # point is the center of a set below 2^-400.
     if far and math.frexp(far)[1] - k > 400:
         return False
-    unit_g, unit_d = np.ldexp(gens, -k), np.ldexp(d, -k)
+    unit_d = np.ldexp(d, -k)
     if n == 1:
         return bool(abs(unit_d[0]) <= (1.0 + tol) * np.abs(unit_g).sum())
-    # The Gram screen stands in for the SVD of most 2-D sets.
-    if n == 2 and e >= 2 and _gram_full_rank(unit_g):
-        return bool(_support_test(unit_g, unit_d, tol))
-    sv = np.linalg.svd(unit_g, compute_uv=False) if e >= n else None
-    if sv is None or not sv[-1] > 1e-12 * sv[0]:
+    if not facts.full_rank:
         with np.errstate(over="ignore"):  # inf accepts every residual
-            reach = float(np.ldexp(reach, -k))
+            reach = float(np.ldexp(max(map(abs, ends)), -k))
         return _projected(unit_g, unit_d, reach, tol)
-    if n > 2 and _certified_member(unit_g, unit_d, sv):
+    if n > 2 and _certified_member(unit_g, unit_d, facts.singular_values,
+                                   facts.gram):
         return True
     if n == 2 or math.comb(e, n - 1) <= _MAX_NORMALS:
-        return bool(_support_test(unit_g, unit_d, tol))
+        return bool(_support_test(*facts.facets, unit_d, tol))
     return _contains_lp(gens, d, tol)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class _Generators:
+    """A generator matrix ``G`` as :func:`contains_point` reads it, and the
+    key of its memo: equal to another iff the shapes, strides and bytes of
+    the two matrices are, because a product over a Fortran-ordered matrix
+    can round differently from one over the same values C-ordered.
+
+    The properties are what the test derives from ``G`` alone, each
+    computed on its first use, as read-only arrays. :func:`_interned`
+    returns the first instance of a key while the memo holds it, so every
+    part is computed once per distinct matrix.
+    """
+
+    def __init__(self, gens: np.ndarray):
+        self.gens = gens
+        self._key = (gens.shape, gens.strides, gens.tobytes())
+        self._hash = hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self._key == other._key
+
+    @functools.cached_property
+    def scale(self):
+        """``(k, 2^-k G)``, ``k`` the binary exponent of ``max |G|`` (the
+        scaled matrix has ``max |G|`` in ``[1/2, 1)``), or None for ``G =
+        0``."""
+        top = float(np.abs(self.gens).max(initial=0.0))
+        if top == 0.0:
+            return None
+        k = math.frexp(top)[1]
+        return k, _read_only(np.ldexp(self.gens, -k))
+
+    @functools.cached_property
+    def full_rank(self) -> bool:
+        """``e >= n`` and the smallest singular value of ``G`` above
+        ``1e-12`` times the largest. The Gram screen stands in for the SVD
+        of most 2-D sets."""
+        n, e = self.gens.shape
+        if n == 2 and e >= 2 and _gram_full_rank(self.scale[1]):
+            return True
+        sv = self.singular_values
+        return sv is not None and bool(sv[-1] > 1e-12 * sv[0])
+
+    @functools.cached_property
+    def singular_values(self):
+        """Singular values of the scaled ``G``, descending; None for ``e <
+        n``."""
+        n, e = self.gens.shape
+        if e < n:
+            return None
+        return _read_only(np.linalg.svd(self.scale[1], compute_uv=False))
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        unit_g = self.scale[1]
+        return _read_only(unit_g @ unit_g.T)
+
+    @functools.cached_property
+    def facets(self) -> tuple:
+        """:func:`_facet_bounds` of the scaled ``G``."""
+        return tuple(map(_read_only, _facet_bounds(self.scale[1])))
+
+
+@functools.lru_cache(maxsize=32)
+def _interned(gens: _Generators) -> _Generators:
+    # The first instance with the key of gens, and with it every part
+    # computed for that key so far.
+    return gens
 
 
 def _projected(gens: np.ndarray, d: np.ndarray, reach: float,
@@ -579,8 +676,9 @@ def _projected(gens: np.ndarray, d: np.ndarray, reach: float,
            + 2 * g * math.sqrt(n) * reach)
     if math.sqrt(resid @ resid) > rho:
         return False
-    far = max(map(abs, coords.tolist()), default=0.0)
-    return r == 0 or _member(basis.T @ gens, coords, far, far, tol)
+    ends = coords.tolist()
+    far = max(map(abs, ends), default=0.0)
+    return r == 0 or _member(basis.T @ gens, coords, far, ends, tol)
 
 
 # The stacked containment test takes at most this many entries of facet
@@ -645,7 +743,8 @@ def _facet_stack(centers, gens, points, tol):
     unit_g = np.ldexp(gens[rows], -k[rows, None, None])
     unit_d = np.ldexp(d[rows], -k[rows, None])
     full = _gram_full_rank(unit_g)
-    return rows[full], _support_test(unit_g[full], unit_d[full], tol)
+    return rows[full], _support_test(*_facet_bounds(unit_g[full]),
+                                     unit_d[full], tol)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

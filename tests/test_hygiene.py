@@ -199,3 +199,69 @@ def test_detects_module_level_container():
         "except ImportError:\n"
         "    _K = {}\n")
     assert module_containers(tree) == [3, 4, 5, 6, 7, 16, 20, 22, 24]
+
+
+def unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines that use a ``functools`` cache other than
+    ``lru_cache(maxsize=<int>)``: ``cache``, ``lru_cache`` bare or called
+    without an integer ``maxsize``, and ``maxsize=None``. A module-level
+    memo lives as long as the process, so it must evict. ``cached_property``
+    stores its value on the instance and is not counted."""
+    calls = {id(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _called_name(node.func)
+            if name == "cache" or (name == "lru_cache" and not _bounded(node)):
+                found.append(node.lineno)
+        elif (isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in calls
+              and _called_name(node) in ("cache", "lru_cache")):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def _called_name(func: ast.expr):
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def _bounded(call: ast.Call) -> bool:
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+    return (not call.args and len(sizes) == 1
+            and isinstance(sizes[0], ast.Constant)
+            and type(sizes[0].value) is int)
+
+
+def test_every_cache_is_bounded():
+    found = {p.name: unbounded_caches(ast.parse(p.read_text(encoding="utf-8")))
+             for p in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # The containment memo and the subset table are among the caches.
+    source = (ROOT / "src" / "zonodiff" / "zonotope.py").read_text(
+        encoding="utf-8")
+    assert source.count("@functools.lru_cache(maxsize=") == 2
+
+
+def test_detects_unbounded_cache():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache, cached_property\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def a(x): return x\n"
+        "@functools.cache\n"
+        "def b(x): return x\n"
+        "@functools.lru_cache\n"
+        "def c(x): return x\n"
+        "@lru_cache(maxsize=None)\n"
+        "def d(x): return x\n"
+        "@lru_cache()\n"
+        "def e(x): return x\n"
+        "f = functools.lru_cache(maxsize=4)(a)\n"
+        "g = cache(a)\n"
+        "@lru_cache(16)\n"
+        "def h(x): return x\n"
+        "class K:\n"
+        "    @cached_property\n"
+        "    def p(self): return 1\n")
+    assert unbounded_caches(tree) == [5, 7, 9, 11, 14, 15]

@@ -47,6 +47,9 @@ def constant_records(steps, nodes, radius, center_error):
                         np.zeros((steps, nodes, 2)), np.ones((steps, nodes, 2)))
 
 
+UNIT_SQUARE = Zonotope([0.0, 0.0], np.eye(2))
+
+
 def brute_force_hausdorff(va, vb):
     def directed(xs, ys):
         worst = 0.0
@@ -155,7 +158,8 @@ class TestHausdorff:
             want = hausdorff_2d(*(Zonotope(np.ldexp(z.center, k),
                                            np.ldexp(z.generators, k))
                                   for z in (a, b)))
-            for j in (0, 500, 1015, 1019, 1021, 1022, 1023, 1024):
+            for j in (-900, -540, 0, 500, 1015, 1019, 1021, 1022, 1023,
+                      1024):
                 got = hausdorff_2d(*(Zonotope(np.ldexp(z.center, k + j),
                                               np.ldexp(z.generators, k + j))
                                      for z in (a, b)))
@@ -176,6 +180,51 @@ class TestHausdorff:
         assert all(map(math.isfinite, want))
         assert steps.hausdorff_mean.tolist() == want
         assert run.hausdorff_mean == want[1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_summary_statistics_near_the_top_of_the_double_range(self):
+        # Means and standard deviations of values near 1.8e308, per step
+        # and over the run, without an overflow: computed at the scale of
+        # the largest value and scaled back.
+        big = [[1.5e308, 1.5e308], [1.5e308, 0.5e308], [1.0e308, 1.0e308]]
+        steps, run = summarize(make_records(big, big, np.zeros((3, 2, 2)),
+                                            np.ones((3, 2, 2))), burn_in=1)
+        assert steps.radius_mean.tolist() == [1.5e308, 1e308, 1e308]
+        assert steps.radius_std.tolist() == [0.0, 0.5e308, 0.0]
+        assert steps.center_error_mean.tolist() == steps.radius_mean.tolist()
+        assert run.radius_mean == pytest.approx(1e308, rel=1e-15)
+        assert run.radius_std == pytest.approx(math.sqrt(0.125) * 1e308,
+                                               rel=1e-15)
+        assert run.center_error_std == run.radius_std
+        # Scaled by 2^-1000, where the squares of the deviations would
+        # underflow: the statistics scaled, bit for bit.
+        unit = np.array(big) / 2.0 ** 1020
+        runs = [summarize(make_records(v, v, np.zeros((3, 2, 2)),
+                                       np.ones((3, 2, 2))), burn_in=1)[1]
+                for v in (unit, np.ldexp(unit, -1000))]
+        assert runs[1].radius_mean == math.ldexp(runs[0].radius_mean, -1000)
+        assert runs[1].radius_std == math.ldexp(runs[0].radius_std, -1000)
+        assert runs[1].radius_std > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_distances_are_not_lost(self, monkeypatch):
+        # Two unit squares 1 apart, scaled by 2^-540: cdist squares their
+        # differences into underflow, and the pair is measured again
+        # scaled up. Equal sets in the normal range take one cdist call.
+        calls = []
+        cdist = metrics.cdist
+        monkeypatch.setattr(metrics, "cdist",
+                            lambda a, b: calls.append(1) or cdist(a, b))
+        for j in (-540, -1000):
+            a, b = (Zonotope(np.ldexp(c, j), np.ldexp(np.eye(2), j))
+                    for c in ([0.0, 0.0], [1.0, 0.0]))
+            assert hausdorff_2d(a, b) == math.ldexp(1.0, j)
+            steps, _ = summarize(constant_records(1, 2, 1.0, 0.0), [[a, b]],
+                                 burn_in=0)
+            assert steps.hausdorff_mean.tolist() == [math.ldexp(1.0, j)]
+        calls.clear()
+        assert hausdorff_2d(UNIT_SQUARE, UNIT_SQUARE) == 0.0
+        assert len(calls) == 1
 
 class TestLeanNorm:
     def test_matches_numpy_norm(self, rng):

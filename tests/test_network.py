@@ -24,7 +24,11 @@ from zonodiff import (
     topology_to_json,
 )
 from zonodiff import network, observers
-from zonodiff.intersection import frobenius_optimal_gain, stack_strips
+from zonodiff.intersection import (
+    frobenius_optimal_gain,
+    stack_strips,
+    unit_strips,
+)
 from zonodiff.observers import fuse_update, local_update
 from zonodiff.zonotope import reduce_stack
 from zonodiff.plant import paper_scenario, simulate
@@ -500,6 +504,64 @@ class TestRunRound:
             assert len(trace.strips_delivered[i]) == 5
             assert len(trace.sets_delivered[i]) == 5
         assert len(trace.round_estimates) == 8
+
+    @pytest.mark.parametrize("case", ["ring-k4", "irregular"])
+    def test_trace_payloads_equal_eager_tuples(self, case, rng):
+        # The payloads, built when read, equal the tuples of (source,
+        # payload) pairs a round built eagerly: by index, slice, length,
+        # iteration and as a dict of one neighborhood.
+        topo, priors, strips, cfg, f_mat, q_gens, _ = engine_case(
+            case, "sm", rng)
+        states = [NodeState(i, z) for i, z in enumerate(priors)]
+        _, trace = run_round(topo, states, strips, cfg, f_mat, q_gens)
+        own = [dict(trace.sets_delivered[i])[i] for i in range(8)]
+        for i, nbrs in enumerate(topo.neighbors):
+            want = local_update(states[i], stack_strips(
+                [strips[j] for j in nbrs], 2), cfg, f_mat, q_gens)
+            assert own[i].center.tobytes() == want.center.tobytes()
+            assert own[i].generators.tobytes() == want.generators.tobytes()
+        eager = {"strips": tuple(tuple((j, strips[j]) for j in row)
+                                 for row in topo.neighbors),
+                 "sets": tuple(tuple((j, own[j]) for j in row)
+                               for row in topo.neighbors)}
+        for name, lazy in [("strips", trace.strips_delivered),
+                           ("sets", trace.sets_delivered)]:
+            assert len(lazy) == len(eager[name]) == 8
+            assert tuple(lazy) == eager[name]
+            assert lazy[-1] == eager[name][-1] and lazy[2:5] == eager[name][2:5]
+            for i in range(8):
+                assert lazy[i] == eager[name][i]
+                assert len(lazy[i]) == len(topo.neighbors[i])
+                assert dict(lazy[i]) == dict(eager[name][i])
+            with pytest.raises(IndexError):
+                lazy[8]
+
+    def test_phase_one_gathers_per_batch_in_node_order(self, rng):
+        # The irregular graph's nodes fall into three batches by
+        # neighborhood size; phase 1 still runs in node order, and each
+        # node's strip rows have the shape, strides and bits of a gather of
+        # its own rows.
+        topo, priors, strips, cfg, f_mat, q_gens, _ = engine_case(
+            "irregular", "sm", rng)
+        assert len(topo._batches) == 3
+        calls = []
+
+        def recorded(state, rows, *args, **kwargs):
+            calls.append((state.node_id, rows))
+            return local_update(state, rows, *args, **kwargs)
+
+        with mock.patch.object(network, "local_update", recorded):
+            run_round(topo, [NodeState(i, z) for i, z in enumerate(priors)],
+                      strips, cfg, f_mat, q_gens)
+        assert [i for i, _ in calls] == list(range(8))
+        stacked = unit_strips(*stack_strips(strips, 2))
+        for i, rows in calls:
+            index = np.array(topo.neighbors[i])
+            for got, full in zip(rows, stacked):
+                want = full[index]
+                assert got.shape == want.shape
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
 
     def test_input_length_validation(self, rng):
         topo = ring_topology(4, 2)

@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from zonodiff import (
+    NodeState,
+    ObserverConfig,
+    SystemModel,
     Zonotope,
     contains_point,
     f_radius,
     interval_hull,
+    paper_scenario,
     reduce,
+    ring_topology,
+    run_round,
+    simulate,
     sm_time_update,
     vertices_2d,
 )
@@ -518,7 +525,8 @@ class TestContainsPoint:
                             face = face_offset(rng, gens)
                             for gauge in SCREEN_GAUGES:
                                 d = gauge * face
-                                if not screen(gens, d, sv):
+                                if not screen(gens, d, sv,
+                                              gens @ gens.T):
                                     continue
                                 certified += 1
                                 for tol in (0.0, 1e-9, 1e-7):
@@ -536,19 +544,28 @@ class TestContainsPoint:
             assert contains_point(z, z.center + z.generators @ b, 0.0)
 
     def test_uncertified_points_reach_the_facet_test(self, rng, monkeypatch):
-        calls = []
+        # Both points take the facet test; the normals of the one set are
+        # computed once.
+        normals, tests = [], []
         facet_normals = zonotope._facet_normals
+        support_test = zonotope._support_test
 
-        def counted(gens):
-            calls.append(gens.shape)
+        def counted_normals(gens):
+            normals.append(gens.shape)
             return facet_normals(gens)
 
-        monkeypatch.setattr(zonotope, "_facet_normals", counted)
+        def counted_test(*args):
+            tests.append(args[0].shape)
+            return support_test(*args)
+
+        monkeypatch.setattr(zonotope, "_facet_normals", counted_normals)
+        monkeypatch.setattr(zonotope, "_support_test", counted_test)
         z = random_zonotope(rng, 4, 20)
         assert not contains_point(z, interval_hull(z)[1] + 0.5, 1e-9)
         assert contains_point(z, z.center + (1 - 1e-9) * facet_offset(rng, z),
                               1e-9)
-        assert calls == [(4, 20), (4, 20)]
+        assert normals == [(4, 20)]
+        assert tests == [(1140, 4), (1140, 4)]
 
     def test_two_d_never_enters_the_screen(self, rng, monkeypatch):
         def no_screen(*args):
@@ -645,6 +662,7 @@ class TestContainsPointScreensAndScale:
                         cases.append((z, z.center + gauge * face, tol))
         screened = [contains_point(*case) for case in cases]
         monkeypatch.setattr(zonotope, "_gram_full_rank", lambda gens: False)
+        zonotope._interned.cache_clear()  # the screen's verdicts are memoized
         assert screened == [contains_point(*case) for case in cases]
         assert len(cases) > 1000 and 0 < sum(screened) < len(cases)
 
@@ -993,3 +1011,205 @@ class TestVertices2D:
         got = {tuple(np.round(p, 7)) for p in verts}
         exp = {tuple(np.round(p, 7)) for p in reflected}
         assert got == exp
+
+
+def uncached_contains(z, x, tol):
+    """:func:`contains_point` with every part computed from this call's own
+    ``G``, as before the memo: the reference of the memo tests. The memo
+    is cleared first, so the projected sets that ``_projected`` decides
+    are computed afresh too."""
+    zonotope._interned.cache_clear()
+    point = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        d = point - z.center
+    if not np.isfinite(d).all():
+        return uncached_contains(Zonotope(0.5 * z.center, 0.5 * z.generators),
+                                 0.5 * point, tol)
+    reach = float(np.abs(np.concatenate([point, z.center])).max())
+    return uncached_member(z.generators, d, float(np.abs(d).max()), reach,
+                           tol)
+
+
+def uncached_member(gens, d, far, reach, tol):
+    n, e = gens.shape
+    top = float(np.abs(gens).max(initial=0.0))
+    if top == 0.0:
+        k = math.frexp(reach)[1]
+        return zonotope._projected(gens[:, :0], np.ldexp(d, -k),
+                                   math.ldexp(reach, -k), tol)
+    k = math.frexp(top)[1]
+    if far and math.frexp(far)[1] - k > 400:
+        return False
+    unit_g, unit_d = np.ldexp(gens, -k), np.ldexp(d, -k)
+    if n == 1:
+        return bool(abs(unit_d[0]) <= (1.0 + tol) * np.abs(unit_g).sum())
+    facets = zonotope._facet_bounds
+    if n == 2 and e >= 2 and zonotope._gram_full_rank(unit_g):
+        return bool(zonotope._support_test(*facets(unit_g), unit_d, tol))
+    sv = np.linalg.svd(unit_g, compute_uv=False) if e >= n else None
+    if sv is None or not sv[-1] > 1e-12 * sv[0]:
+        with np.errstate(over="ignore"):
+            reach = float(np.ldexp(reach, -k))
+        return zonotope._projected(unit_g, unit_d, reach, tol)
+    if n > 2 and zonotope._certified_member(unit_g, unit_d, sv,
+                                            unit_g @ unit_g.T):
+        return True
+    if n == 2 or math.comb(e, n - 1) <= zonotope._MAX_NORMALS:
+        return bool(zonotope._support_test(*facets(unit_g), unit_d, tol))
+    return zonotope._contains_lp(gens, d, tol)
+
+
+def online_round(model, topology, kind, rounds):
+    """The estimates of the last of ``rounds`` rounds from the initial sets,
+    driven one at a time, and the true state they estimate."""
+    traj = simulate(model, rounds, seed=0)
+    cfg = ObserverConfig(kind=kind, q=20)
+    states = [NodeState(i, model.initial_set)
+              for i in range(topology.n_nodes)]
+    for k in range(rounds):
+        strips = [model.strip_for(i, k, traj.measurements[k, i])
+                  for i in range(topology.n_nodes)]
+        states, trace = run_round(topology, states, strips, cfg,
+                                  model.f_matrix, model.q_generators, k)
+    return trace.round_estimates, traj.states[rounds - 1]
+
+
+def cv4_model():
+    """The 4-state constant-velocity target of the benchmark: the nodes
+    measure the two position axes alternately."""
+    rows = np.eye(4)[:2]
+    initial = Zonotope(np.zeros(4), np.diag([80.0, 80.0, 10.0, 10.0]))
+    return SystemModel(
+        f_matrix=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                  [0.0, 0.0, 0.98, 0.0], [0.0, 0.0, 0.0, 0.98]],
+        q_generators=np.diag([0.5, 0.5, 0.3, 0.3]),
+        schedule=lambda node, step: (rows[(node + step) % 2], 8.0),
+        initial_set=initial, true_initial_state=[10.0, -20.0, 1.0, 2.0],
+        n_nodes=8)
+
+
+class TestContainmentMemo:
+    """contains_point computes what it reads of ``G`` alone once per
+    distinct generator matrix (by shape, strides and bytes), with every
+    decision that of the computation without the memo."""
+
+    def counted(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    def test_ring_round_computes_normals_once_per_matrix(self, monkeypatch):
+        # The 32 estimates of a 32-node ring round share two generator
+        # arrays, one per parity.
+        model, presets = paper_scenario(n_nodes=32)
+        for kind in ("sm", "iv"):
+            estimates, truth = online_round(model, presets[6], kind, 3)
+            assert len({id(z.generators) for z in estimates}) == 2
+            zonotope._interned.cache_clear()
+            normals = self.counted(monkeypatch, zonotope, "_facet_normals")
+            assert all(contains_point(z, truth, 1e-7) for z in estimates)
+            assert normals == [(2, 20), (2, 20)]
+            monkeypatch.undo()
+
+    def test_cv4_round_takes_one_svd_per_matrix(self, monkeypatch):
+        for kind in ("sm", "iv"):
+            estimates, truth = online_round(cv4_model(), ring_topology(8, 4),
+                                            kind, 4)
+            distinct = len({z.generators.tobytes() for z in estimates})
+            assert distinct < len(estimates)
+            zonotope._interned.cache_clear()
+            svds = self.counted(monkeypatch, np.linalg, "svd")
+            assert all(contains_point(z, truth, 1e-7) for z in estimates)
+            monkeypatch.undo()
+            assert svds == [(4, 20)] * distinct
+
+    def cases(self, rng):
+        """``(z, x, tol)`` triples over every path of the test."""
+        out = []
+        bases = [random_zonotope(rng, n, e)
+                 for n, e in [(2, 2), (2, 6), (2, 20), (3, 8), (4, 6),
+                              (4, 20), (1, 3)]]
+        for base in bases:
+            for j in (-1000, 0, 1000):
+                z = base if j == 0 else Zonotope(np.ldexp(base.center, j),
+                                                 np.ldexp(base.generators, j))
+                points = [z.center + z.generators @ b for b in
+                          rng.uniform(-0.5, 0.5, (2, z.n_generators))]
+                if z.dim > 1:
+                    face = facet_offset(rng, z)
+                    points += [z.center + g * face
+                               for g in (1 - 1e-9, 1 + 1e-9)]
+                points.append(interval_hull(z)[1] + np.ldexp(0.5, j))
+                out += [(z, x, tol) for x in points for tol in (0.0, 1e-9)]
+        # An F-ordered copy and equal bits in a distinct array.
+        for z in bases[2], bases[5]:
+            same = [(x, tol) for case, x, tol in out if case is z]
+            for gens in (np.asfortranarray(z.generators),
+                         z.generators.copy()):
+                out += [(Zonotope(z.center, gens), x, tol) for x, tol in same]
+        # Rank-deficient sets and e < n, members and points off the range.
+        u = rng.normal(size=3)
+        for gens in (np.outer(u, rng.normal(size=5)), [[1.0, 2.0], [1.0, 2.0]],
+                     rng.normal(size=(3, 2)), np.zeros((2, 3))):
+            gens = np.array(gens, dtype=float)
+            z = Zonotope(rng.normal(size=len(gens)), gens)
+            off = off_range_direction(z) if gens.any() else np.ones(len(gens))
+            for b in rng.uniform(-1, 1, (2, gens.shape[1])):
+                out += [(z, z.center + gens @ b, 1e-9),
+                        (z, z.center + gens @ b + 1e-3 * off, 1e-9)]
+        out += [(z, x, 1e-9) for z, x, _ in TestOverflowingOffset().cases()]
+        return out
+
+    def test_decisions_equal_uncached(self, rng, monkeypatch):
+        cases = self.cases(rng)
+        want = [uncached_contains(*case) for case in cases]
+        assert 0 < sum(want) < len(cases)
+        zonotope._interned.cache_clear()
+        certified = []
+        screen = zonotope._certified_member
+
+        def recorded(*args):
+            certified.append(screen(*args))
+            return certified[-1]
+
+        monkeypatch.setattr(zonotope, "_certified_member", recorded)
+        support = self.counted(monkeypatch, zonotope, "_support_test")
+        # Misses, then hits of the memo.
+        for _ in range(2):
+            assert [contains_point(*case) for case in cases] == want
+        assert any(certified) and not all(certified)
+        assert (1140, 4) in support
+
+    def test_key_is_exact_layout_and_bits(self, rng):
+        gens = rng.normal(size=(2, 6))
+        key = zonotope._Generators(gens)
+        assert key == zonotope._Generators(gens.copy())
+        assert key != zonotope._Generators(np.asfortranarray(gens))
+        assert key != zonotope._Generators(np.nextafter(gens, 1.0))
+        zonotope._interned.cache_clear()
+        first = zonotope._interned(key)
+        assert zonotope._interned(zonotope._Generators(gens.copy())) is first
+
+    def test_cached_arrays_read_only_and_memo_bounded(self, rng):
+        zonotope._interned.cache_clear()
+        for n, e in [(2, 6), (4, 20)]:
+            z = random_zonotope(rng, n, e)
+            x = z.center + (1 + 1e-9) * facet_offset(rng, z)
+            contains_point(z, x, 1e-9)
+            facts = zonotope._interned(zonotope._Generators(z.generators))
+            arrays = [facts.scale[1], *facts.facets]
+            if n > 2:
+                arrays += [facts.singular_values, facts.gram]
+            assert not any(a.flags.writeable for a in arrays)
+        for _ in range(1000):
+            z = random_zonotope(rng, 2, 4)
+            contains_point(z, z.center, 1e-9)
+        info = zonotope._interned.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
